@@ -24,7 +24,7 @@ from itertools import permutations
 import numpy as np
 
 from .core import CMat6, DEFAULT_TOL, SQRT6, Tolerances, as_matrix, is_hadamard
-from .errors import InvalidInput
+from .errors import InvalidInput, SolveError
 
 __all__ = [
     "TransformRecord",
@@ -207,19 +207,22 @@ def _build_lemma_form(A, H, c1, c2, rows, tol):
 
     B = D.entries
     block = B[:3, :2] * SQRT6
-    assert np.max(np.abs(block[:, 0] - 1.0)) < tol.eq_tol * 10.0
-    assert np.max(np.abs(block[:, 1].imag)) < tol.eq_tol * 10.0
+    if not (np.max(np.abs(block[:, 0] - 1.0)) < tol.eq_tol * 10.0
+            and np.max(np.abs(block[:, 1].imag)) < tol.eq_tol * 10.0):
+        raise SolveError("dephasing did not make the candidate 3x2 block real")
     y = 1 if block[1, 1].real > 0.0 else -1
     x = 1 if block[2, 1].real > 0.0 else -1
 
     s = None
     if (y, x) == (1, -1):
         s = _positional_tail_s(B[3:, 1] * SQRT6, tol.eq_tol)
-        assert s is not None
+        if s is None:
+            raise SolveError("second column tail does not read (-1, s, -s)")
 
     # replay property: the record reproduces the normal form from the source
     replay = apply(A, rec)
-    assert np.max(np.abs(replay.entries - B)) < 1e-12
+    if not np.max(np.abs(replay.entries - B)) < 1e-12:
+        raise SolveError("transform record does not replay the normal form")
 
     label = H.label if isinstance(H, CMat6) else None
     return LemmaForm(CMat6(B, label), y, x, s, rec)

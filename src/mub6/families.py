@@ -45,6 +45,13 @@ _HALF_PI = np.pi / 2.0
 _TWO_PI = 2.0 * np.pi
 
 
+def _checked(H: CMat6, tol: Tolerances = DEFAULT_TOL) -> CMat6:
+    """H itself once it passes the Hadamard check; a failure is a bug."""
+    if not is_hadamard(H, tol):
+        raise SolveError(f"{H.label} failed the Hadamard check")
+    return H
+
+
 def is_admissible_t(t: float) -> bool:
     """Membership in (pi/2, pi] u (3pi/2, 2pi], taking t at face value."""
     return (_HALF_PI < t <= np.pi) or (1.5 * np.pi < t <= _TWO_PI)
@@ -121,9 +128,7 @@ def m6(t: float, tol: Tolerances = DEFAULT_TOL) -> CMat6:
     a = np.exp(1j * t)
     b, c, d, e, f, g = solve_m6_entries(a, tol)
     H = _assemble_m6(a, b, c, d, e, f, g)
-    out = CMat6(H, label=f"m6(t={t!r})")
-    assert is_hadamard(out, tol)
-    return out
+    return _checked(CMat6(H, label=f"m6(t={t!r})"), tol)
 
 
 def m6_grid(n_per_arc: int = 25):
@@ -142,9 +147,7 @@ def fourier_f6(x1: float = 0.0, x2: float = 0.0) -> CMat6:
     j, k = np.indices((6, 6))
     R = ((j % 2 == 1) & (k % 3 == 1)) * x1 + ((j % 2 == 1) & (k % 3 == 2)) * x2
     H = np.exp(1j * (np.pi / 3.0) * j * k + 1j * R) / SQRT6
-    out = CMat6(H, label=f"f6(x1={x1!r}, x2={x2!r})")
-    assert is_hadamard(out)
-    return out
+    return _checked(CMat6(H, label=f"f6(x1={x1!r}, x2={x2!r})"))
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +203,7 @@ def b6(theta: float, tol: Tolerances = DEFAULT_TOL) -> CMat6:
         ],
         dtype=complex,
     ) / SQRT6
-    out = CMat6(H, label=f"b6(theta={theta!r})")
-    assert is_hadamard(out, tol)
-    return out
+    return _checked(CMat6(H, label=f"b6(theta={theta!r})"), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,4 @@ _S6_EXPONENTS = np.array(
 
 def s6() -> CMat6:
     w = np.exp(2j * np.pi / 3.0)
-    out = CMat6(w ** _S6_EXPONENTS / SQRT6, label="s6")
-    assert is_hadamard(out)
-    return out
+    return _checked(CMat6(w ** _S6_EXPONENTS / SQRT6, label="s6"))

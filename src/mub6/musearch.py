@@ -2,17 +2,18 @@
 
 A candidate vector is parameterized by five free phases (first entry pinned
 to 1/sqrt(6)), which keeps every entry at modulus 1/sqrt(6) by construction
-and removes the global-phase gauge.  The objective is the squared
-unbiasedness defect summed over the six columns of H; minimization is
-batched gradient descent with a halving/growing step rule, followed by a
-Gauss-Newton polish of the near-zero candidates so that accepted vectors
-sit at machine-precision residuals.
+and removes the global-phase gauge.  Unbiasedness to H is the six real
+equations 6 |<h_j, v>|^2 = 1.  ``solve_phases`` is a batched
+Levenberg-Marquardt solver with per-start damping (Moré 1978); it runs every
+start at once and drives each converging start to a machine-precision
+residual.  The witness search of ``refutation`` uses the same solver.
 
-Accepted vectors are deduplicated in phase space (angular distance with
-wraparound), clustered into orthogonality 6-cliques, and each clique is
-certified as a basis making {I, H, B} pairwise mutually unbiased.
-``scan_m6`` sweeps the symmetric family and serializes rows to a CSV whose
-bytes are reproducible for a fixed seed.
+Converged starts are deduplicated greedily in phase space (angular distance
+with wraparound, compared against an array of the representatives kept so
+far), clustered into orthogonality 6-cliques, and each clique is certified
+as a basis making {I, H, B} pairwise mutually unbiased.  ``scan_m6`` sweeps
+the symmetric family and serializes rows to a CSV whose bytes are
+reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -101,20 +102,23 @@ class ScanRow:
 
 
 def _phases_to_vectors(P):
-    """(n, 5) phase rows to (n, 6) unit vectors with pinned first entry."""
-    n = P.shape[0]
-    return np.concatenate([np.ones((n, 1)), np.exp(1j * P)], axis=1) / SQRT6
+    """(..., 5) phase rows to (..., 6) unit vectors with pinned first entry."""
+    P = np.asarray(P, dtype=float)
+    V = np.empty(P.shape[:-1] + (6,), dtype=complex)
+    V[..., 0] = 1.0 / SQRT6
+    V[..., 1:] = np.exp(1j * P) / SQRT6
+    return V
 
 
-def _value_grad(Hc, P):
-    """Batched objective and analytic gradient.  Hc is conj(H.entries)."""
+def _mu_defects(Hc, P):
+    """Batched defects G[n, j] = 6 |<h_j, v_n>|^2 - 1 and their Jacobian
+    J[n, j, k] in the five phases.  Hc is conj(H.entries)."""
     V = _phases_to_vectors(P)
     Z = V @ Hc                      # Z[n, j] = <h_j, v_n>
     G = 6.0 * np.abs(Z) ** 2 - 1.0
-    val = np.sum(G * G, axis=1)
-    T = (np.conj(Z) * G) @ Hc[1:, :].T
-    grad = -24.0 * np.imag(T * V[:, 1:])
-    return val, grad
+    W = np.conj(Z)[:, :, None] * Hc[1:, :].T
+    W *= V[:, None, 1:]             # in place: W is the largest temporary
+    return G, -12.0 * W.imag
 
 
 def mu_objective(H, phases):
@@ -122,68 +126,69 @@ def mu_objective(H, phases):
     in the five free phases.  Zero exactly when v is unbiased to every
     column of H."""
     P = np.asarray(phases, dtype=float).reshape(1, 5)
-    val, grad = _value_grad(np.conj(as_matrix(H)), P)
-    return float(val[0]), grad[0].copy()
+    G, J = _mu_defects(np.conj(as_matrix(H)), P)
+    return float(G[0] @ G[0]), 2.0 * (G[0] @ J[0])
 
 
 def residual_of(H, phases):
     """Independent unbiasedness residual, evaluated column by column."""
     A = as_matrix(H)
-    v = np.concatenate([[1.0], np.exp(1j * np.asarray(phases, dtype=float))]) / SQRT6
+    v = _phases_to_vectors(phases)
     return max(abs(6.0 * abs(np.vdot(A[:, j], v)) ** 2 - 1.0) for j in range(6))
 
 
-def _descend(Hc, P, max_iters):
-    """Gradient descent over all starts at once; per-start step halves on a
-    rejected proposal and grows modestly on an accepted one."""
-    val, grad = _value_grad(Hc, P)
-    step = np.full(P.shape[0], 0.05)
+def _normal_equations(r, J):
+    """M = [J r]^T [J r]: J^T J, J^T r and |r|^2 in one (n, 6, 6) product."""
+    A = np.concatenate([J, r[:, :, None]], axis=2)
+    return A.transpose(0, 2, 1) @ A
+
+
+def solve_phases(fun, P, max_iters):
+    """Batched Levenberg-Marquardt over rows of five phases.
+
+    fun maps (n, 5) phases to real residuals r (n, m) and their Jacobian
+    J (n, m, 5).  Every start carries its own damping lam, starting at 0.1:
+    a step solves (J^T J + lam I) delta = -J^T r, is kept only if it lowers
+    |r|, and lam shrinks by 3 (down to 1e-12) on success and grows by 10 on
+    failure.  A start stops once |r| < 1e-13, once lam exceeds 1e10, or
+    after max_iters steps.  Returns the final phases and each start's |r|.
+    """
+    P = np.array(P, dtype=float)
+    out, cost = P.copy(), np.empty(len(P))
+    idx = np.arange(len(P))
+    M = _normal_equations(*fun(P))
+    lam = np.full(len(P), 0.1)
     for _ in range(max_iters):
-        trial = P - step[:, None] * grad
-        tval, tgrad = _value_grad(Hc, trial)
-        better = tval < val
-        P = np.where(better[:, None], trial, P)
-        val = np.where(better, tval, val)
-        grad = np.where(better[:, None], tgrad, grad)
-        step = np.clip(np.where(better, step * 1.25, step * 0.5), 1e-12, 10.0)
-        if float(np.max(val)) < 1e-14:
-            break
-    return P, val
-
-
-def _gn_polish(Hc, phi, max_iters=25):
-    """Gauss-Newton refinement of one candidate down to machine precision."""
-
-    def defects(p):
-        v = np.concatenate([[1.0], np.exp(1j * p)]) / SQRT6
-        z = v @ Hc
-        return 6.0 * np.abs(z) ** 2 - 1.0, z, v
-
-    g, z, v = defects(phi)
-    for _ in range(max_iters):
-        worst = np.max(np.abs(g))
-        if worst < 1e-13:
-            break
-        W = np.conj(z)[None, :] * Hc[1:, :] * v[1:, None]   # W[k, j]
-        J = -12.0 * W.imag.T                                 # (6, 5)
-        delta = np.linalg.lstsq(J, -g, rcond=None)[0]
-        accepted = False
-        for _ in range(6):
-            trial = phi + delta
-            gt, zt, vt = defects(trial)
-            if np.max(np.abs(gt)) < worst:
-                phi, g, z, v = trial, gt, zt, vt
-                accepted = True
+        stop = (M[:, 5, 5] < 1e-26) | (lam > 1e10)
+        if stop.any():
+            out[idx[stop]], cost[idx[stop]] = P[stop], M[stop, 5, 5]
+            keep = ~stop
+            idx, P, M, lam = idx[keep], P[keep], M[keep], lam[keep]
+            if not idx.size:
                 break
-            delta = delta * 0.5
-        if not accepted:
-            break
-    return phi
+        step = np.linalg.solve(M[:, :5, :5] + lam[:, None, None] * np.eye(5), M[:, :5, 5:])
+        trial = P - step[:, :, 0]
+        Mt = _normal_equations(*fun(trial))
+        ok = Mt[:, 5, 5] < M[:, 5, 5]
+        np.copyto(P, trial, where=ok[:, None])
+        np.copyto(M, Mt, where=ok[:, None, None])
+        lam = np.maximum(lam * np.where(ok, 1.0 / 3.0, 10.0), 1e-12)
+    out[idx], cost[idx] = P, M[:, 5, 5]
+    return out, np.sqrt(cost)
 
 
-def _wrap_dist(p, q):
-    d = np.mod(np.asarray(p) - np.asarray(q) + np.pi, 2.0 * np.pi) - np.pi
-    return float(np.max(np.abs(d)))
+def _dedupe(P, cluster_tol):
+    """Indices of greedy representatives: a row is kept unless its wrapped
+    phase distance max_k |p_k - q_k| to a row kept before it is below
+    cluster_tol."""
+    kept = np.empty_like(P)
+    idx = []
+    for i, p in enumerate(P):
+        d = np.mod(kept[:len(idx)] - p + np.pi, 2.0 * np.pi) - np.pi
+        if not np.all(np.abs(d) < cluster_tol, axis=1).any():
+            kept[len(idx)] = p
+            idx.append(i)
+    return idx
 
 
 def find_mu_vectors(H, cfg: OptimConfig = OptimConfig(), rng=None):
@@ -195,28 +200,14 @@ def find_mu_vectors(H, cfg: OptimConfig = OptimConfig(), rng=None):
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     P0 = rng.uniform(0.0, 2.0 * np.pi, size=(cfg.starts, 5))
-    P, val = _descend(Hc, P0, cfg.max_iters)
-
-    candidates = []
-    for i in np.flatnonzero(val < 1e-8):
-        phi = _gn_polish(Hc, P[i].copy())
-        phi = np.mod(phi, 2.0 * np.pi)
-        res = residual_of(A, phi)
-        if res < cfg.tol.residual_tol:
-            candidates.append((tuple(float(x) for x in phi), res))
-
-    candidates.sort(key=lambda c: c[0])
-    kept = []
-    for phases, res in candidates:
-        if any(_wrap_dist(phases, k[0]) < cfg.tol.cluster_tol for k in kept):
-            continue
-        kept.append((phases, res))
-
+    P, defect = solve_phases(lambda Q: _mu_defects(Hc, Q), P0, cfg.max_iters)
+    P = np.mod(P[defect < cfg.tol.residual_tol], 2.0 * np.pi)
+    P = P[np.lexsort(P.T[::-1])]         # the order of Python's tuple sort
     out = []
-    for phases, res in kept:
-        v = np.concatenate([[1.0], np.exp(1j * np.array(phases))]) / SQRT6
-        out.append(MUVector(phases=phases, vector=ColVec6(v), residual=res))
-    out.sort(key=lambda m: m.phases)
+    for i in _dedupe(P, cfg.tol.cluster_tol):
+        phases = tuple(float(x) for x in P[i])
+        out.append(MUVector(phases=phases, vector=ColVec6(_phases_to_vectors(P[i])),
+                            residual=residual_of(A, P[i])))
     return out
 
 

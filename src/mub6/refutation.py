@@ -20,6 +20,7 @@ from .core import DEFAULT_TOL, SQRT6, ColVec6, CMat6, Tolerances, is_hadamard, u
 from .equivalence import TransformRecord, apply
 from .errors import InvalidInput, SearchFailure
 from .families import m6
+from .musearch import _phases_to_vectors, solve_phases
 
 __all__ = [
     "LemmaReport",
@@ -165,6 +166,15 @@ def _orthogonality_residuals(c1, c2, v):
     return float(abs(np.vdot(c1, v))), float(abs(np.vdot(c2, v)))
 
 
+def _orthogonality_defects(Cc, P):
+    """Real and imaginary parts of <c, v_n> for the rows c of C = conj(Cc),
+    with their Jacobian in the five phases of v_n."""
+    W = Cc * _phases_to_vectors(P)[:, None, :]      # W[n, c, k] = conj(c_k) v_k
+    G = W.sum(axis=2)
+    dW = W[:, :, 1:]                                # d<c, v>/dphi_k = i dW
+    return np.concatenate([G.real, G.imag], axis=1), np.concatenate([-dW.imag, dW.real], axis=1)
+
+
 def third_column_witness(
     s: complex,
     tol: Tolerances = DEFAULT_TOL,
@@ -175,60 +185,27 @@ def third_column_witness(
     """Search for a unimodular v/sqrt(6) orthogonal to c1 = flat and
     c2 = (1, 1, -1, -1, s, -s)/sqrt(6).
 
-    Five free phases (first entry pinned to 1/sqrt(6)), Levenberg-damped
-    Gauss-Newton on the four real orthogonality residuals, starts taken
-    in seed order with the lowest-index success returned.  Raises
-    SearchFailure once the start budget is exhausted.
+    Five free phases (first entry pinned to 1/sqrt(6)); the four real
+    orthogonality residuals are driven to zero by the Levenberg-Marquardt
+    solver ``musearch.solve_phases``, with at most max_iters steps per
+    start.  The seeded starts run one at a time, in order, and the first
+    whose re-computed residuals pass residual_tol is returned: nearly every
+    start converges, so solving starts in batches only waits on the
+    slowest of each batch.  Raises SearchFailure once the start budget is
+    exhausted.
     """
     s = complex(s)
     if abs(abs(s) - 1.0) > tol.eq_tol:
         raise InvalidInput("s must be unimodular")
-    c1 = np.ones(6, dtype=complex) / SQRT6
-    c2 = np.array([1.0, 1.0, -1.0, -1.0, s, -s], dtype=complex) / SQRT6
-
-    def vec(phi):
-        return np.concatenate([[1.0], np.exp(1j * phi)]) / SQRT6
-
-    def residual(phi):
-        v = vec(phi)
-        g1 = np.vdot(c1, v)
-        g2 = np.vdot(c2, v)
-        return np.array([g1.real, g1.imag, g2.real, g2.imag])
-
-    def jacobian(phi):
-        v = vec(phi)
-        d1 = np.conj(c1[1:]) * 1j * v[1:]
-        d2 = np.conj(c2[1:]) * 1j * v[1:]
-        return np.vstack([d1.real, d1.imag, d2.real, d2.imag])
+    C = np.array([[1.0] * 6, [1.0, 1.0, -1.0, -1.0, s, -s]], dtype=complex) / SQRT6
+    Cc = np.conj(C)
 
     rng = np.random.default_rng(seed)
     inits = rng.uniform(0.0, 2.0 * np.pi, size=(starts, 5))
-    eye5 = np.eye(5)
-    for idx in range(starts):
-        phi = inits[idx].copy()
-        lam = 1e-3
-        for _ in range(max_iters):
-            r = residual(phi)
-            n0 = np.linalg.norm(r)
-            if n0 < tol.residual_tol:
-                break
-            J = jacobian(phi)
-            improved = False
-            for _ in range(10):
-                Ja = np.vstack([J, np.sqrt(lam) * eye5])
-                ra = np.concatenate([-r, np.zeros(5)])
-                delta = np.linalg.lstsq(Ja, ra, rcond=None)[0]
-                trial = phi + delta
-                if np.linalg.norm(residual(trial)) < n0:
-                    phi = trial
-                    lam = max(lam / 3.0, 1e-12)
-                    improved = True
-                    break
-                lam *= 10.0
-            if not improved:
-                break
-        v = vec(phi)
-        r1, r2 = _orthogonality_residuals(c1, c2, v)
+    for phi in inits:
+        P, _ = solve_phases(lambda Q: _orthogonality_defects(Cc, Q), phi[None], max_iters)
+        v = _phases_to_vectors(P[0])
+        r1, r2 = _orthogonality_residuals(C[0], C[1], v)
         if r1 < tol.residual_tol and r2 < tol.residual_tol:
             return ThirdColumnWitness(s=s, v=ColVec6(v), residuals=(r1, r2))
     raise SearchFailure(f"no third-column witness for s={s} after {starts} starts")

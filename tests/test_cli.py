@@ -185,6 +185,23 @@ def test_normalize_lemma_form_absent(capsys, tmp_path, schemas, s6mat):
     assert json.loads(out) == {"present": False}
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_normalize_lemma_form_planted_block_exits_1(tmp_path, flags):
+    """A unimodular non-Hadamard matrix with a planted real (1, -1) block
+    has no (-1, s, -s) tail.  The check must also run under python -O and
+    end in exit 1 with a message, not a traceback or a form without s."""
+    A = np.exp(2j * PI * np.random.default_rng(7).random((6, 6)))
+    A[:3, :2] = [[1, 1], [1, 1], [1, -1]]
+    p = tmp_path / "planted.json"
+    p.write_text(matrix_to_json(A / SQRT6))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "mub6.cli", "normalize", "--in", str(p), "--lemma-form"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "error" in proc.stderr
+
+
 @pytest.mark.parametrize("report", ["full", "real", "h2", "product"])
 def test_analyze_reports(capsys, tmp_path, schemas, f6, report):
     p = tmp_path / "f6.json"

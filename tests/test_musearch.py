@@ -248,3 +248,90 @@ def test_plot_file(tmp_path):
     t, n = lines[1].split(",")
     assert float(t) == pytest.approx(0.9 * PI)
     assert int(n) == rows[0].n_mu_vectors
+
+
+def central_jacobian(fun, p, h=1e-6):
+    """(m, 5) central-difference Jacobian of the residual map at one start."""
+    cols = []
+    for k in range(5):
+        up, dn = p.copy(), p.copy()
+        up[k] += h
+        dn[k] -= h
+        cols.append((fun(up[None])[0][0] - fun(dn[None])[0][0]) / (2 * h))
+    return np.stack(cols, axis=1)
+
+
+def test_mu_defect_jacobian_matches_finite_differences(f6, m6_sample, b6_generic):
+    from mub6.musearch import _mu_defects
+
+    rng = np.random.default_rng(56)
+    for H in (f6, m6_sample, b6_generic):
+        fun = lambda P, Hc=np.conj(H.entries): _mu_defects(Hc, P)
+        for _ in range(8):
+            p = rng.uniform(0, 2 * PI, 5)
+            G, J = fun(p[None])
+            assert G.shape == (1, 6) and J.shape == (1, 6, 5)
+            fd = central_jacobian(fun, p)
+            assert np.max(np.abs(J[0] - fd)) < 1e-7 * max(1.0, np.max(np.abs(fd)))
+
+
+def test_solver_defect_is_residual_norm(m6_sample):
+    from mub6.musearch import _mu_defects, solve_phases
+
+    Hc = np.conj(m6_sample.entries)
+    P0 = np.random.default_rng(8).uniform(0, 2 * PI, (50, 5))
+    for iters in (1, 5, 500):
+        P, defect = solve_phases(lambda Q: _mu_defects(Hc, Q), P0, iters)
+        G, _ = _mu_defects(Hc, P)
+        assert np.allclose(defect, np.linalg.norm(G, axis=1), rtol=1e-9, atol=1e-15)
+    assert np.all(defect < 1e-13)
+
+
+@pytest.mark.parametrize("t", [0.6 * PI, 1.634, 0.9 * PI, 1.6 * PI, 1.9 * PI])
+def test_m6_vectors_reverify_independently(t):
+    H = m6(t)
+    cfg = OptimConfig(starts=500, seed=17)
+    vecs = find_mu_vectors(H, cfg)
+    assert len(vecs) >= 48
+    assert [mv.phases for mv in vecs] == sorted(mv.phases for mv in vecs)
+    for mv in vecs:
+        assert mv.residual == residual_of(H, mv.phases) < cfg.tol.residual_tol
+        v = np.concatenate([[1.0], np.exp(1j * np.array(mv.phases))]) / SQRT6
+        assert np.array_equal(mv.vector.entries, v)
+
+
+@pytest.mark.parametrize("t,count", [(PI, 48), (1.634, 120), (1.8371, 52), (2.6452, 48)])
+def test_m6_count_saturates(t, count):
+    """The distinct count is a property of the matrix: four times the
+    start budget finds no new vector."""
+    H = m6(t)
+    assert len(find_mu_vectors(H, OptimConfig(starts=2000))) == count
+    assert len(find_mu_vectors(H, OptimConfig(starts=8000))) == count
+
+
+def test_dedupe_matches_reference_loop(m6_sample):
+    """The array dedupe keeps exactly what the pairwise greedy loop keeps,
+    on raw converged starts with many near-duplicates."""
+    from mub6.musearch import _dedupe, _mu_defects, solve_phases
+
+    Hc = np.conj(m6_sample.entries)
+    P0 = np.random.default_rng(12).uniform(0, 2 * PI, (600, 5))
+    P, defect = solve_phases(lambda Q: _mu_defects(Hc, Q), P0, 500)
+    P = np.mod(P[defect < 1e-8], 2 * PI)
+    P = P[np.lexsort(P.T[::-1])]
+    # a pair that is close only across the 0 = 2pi wrap, and near-duplicates
+    a, b = P[0].copy(), P[0].copy()
+    a[0], b[0] = 1e-8, 2 * PI - 1e-8
+    P = np.concatenate([P, [a, b], P[:5] + 2e-7])
+    tol = OptimConfig().tol.cluster_tol
+
+    def wrap_dist(p, q):
+        d = np.mod(np.asarray(p) - np.asarray(q) + PI, 2 * PI) - PI
+        return float(np.max(np.abs(d)))
+
+    kept = []
+    for i, p in enumerate(P):
+        if not any(wrap_dist(p, P[k]) < tol for k in kept):
+            kept.append(i)
+    assert _dedupe(P, tol) == kept
+    assert len(kept) < len(P)

@@ -166,3 +166,28 @@ def test_witness_rejects_non_unimodular_s():
 def test_witness_search_failure_is_reported():
     with pytest.raises(SearchFailure):
         third_column_witness(1.0, seed=123, starts=1, max_iters=1)
+
+
+@pytest.mark.parametrize("s", [1.0, 1j, np.exp(2.2j)])
+def test_witness_jacobian_matches_finite_differences(s):
+    """The four real orthogonality residuals and their phase Jacobian,
+    against direct inner products and central differences."""
+    from mub6.refutation import _orthogonality_defects
+
+    C = np.array([[1] * 6, [1, 1, -1, -1, s, -s]], dtype=complex) / SQRT6
+    fun = lambda P: _orthogonality_defects(np.conj(C), P)
+    rng = np.random.default_rng(31)
+    h = 1e-6
+    for _ in range(8):
+        p = rng.uniform(0, 2 * PI, 5)
+        r, J = fun(p[None])
+        v = np.concatenate([[1.0], np.exp(1j * p)]) / SQRT6
+        g = [np.vdot(C[0], v), np.vdot(C[1], v)]
+        assert np.allclose(r[0], [g[0].real, g[1].real, g[0].imag, g[1].imag], atol=1e-15)
+        fd = np.zeros((4, 5))
+        for k in range(5):
+            up, dn = p.copy(), p.copy()
+            up[k] += h
+            dn[k] -= h
+            fd[:, k] = (fun(up[None])[0][0] - fun(dn[None])[0][0]) / (2 * h)
+        assert np.max(np.abs(J[0] - fd)) < 1e-8
