@@ -15,6 +15,7 @@ from .core import (
     ColVec6,
     inner,
     unitarity_residual,
+    modulus_residual,
     is_unitary,
     is_hadamard,
     matrix_to_json,

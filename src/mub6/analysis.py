@@ -18,15 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_TOL, SQRT6, Tolerances, as_matrix, as_vector
+from .core import DEFAULT_TOL, SQRT6, Tolerances, as_matrix, as_vector, mod_pi_sign
 from .errors import InvalidInput
 
 __all__ = [
     "SubmatrixLoc",
     "AnalysisReport",
+    "H2Partition",
+    "SECTION_FIELDS",
     "count_real_entries",
     "exceeds_real_bound",
     "find_real_submatrices",
@@ -78,100 +81,76 @@ def exceeds_real_bound(H, tol: Tolerances = DEFAULT_TOL) -> bool:
     return count_real_entries(H, tol) > REAL_ENTRY_BOUND
 
 
-def find_real_submatrices(H, p: int, q: int, tol: Tolerances = DEFAULT_TOL):
-    """All p x q index selections whose entries are real as they stand."""
+def _real_selections(H, p, q, column_ok):
+    """Every p x q selection whose columns all pass column_ok, which maps the
+    stacked row selections (n, p, 6) to an (n, 6) mask."""
     if not (1 <= p <= 6 and 1 <= q <= 6):
         raise InvalidInput("submatrix dimensions must lie in 1..6")
-    mask = _real_mask(as_matrix(H), tol.eq_tol)
+    row_sets = list(combinations(range(6), p))
+    colok = column_ok(as_matrix(H)[np.array(row_sets)])
     out = []
-    for rows in combinations(range(6), p):
-        rowmask = mask[list(rows), :].all(axis=0)
+    for rows, ok in zip(row_sets, colok.tolist()):
         for cols in combinations(range(6), q):
-            if rowmask[list(cols)].all():
+            if all(ok[c] for c in cols):
                 out.append(SubmatrixLoc(tuple(r + 1 for r in rows), tuple(c + 1 for c in cols)))
     return out
 
 
-def _collinear_mod_pi(entries, eq_tol):
-    """True when one phase applied to all entries makes them real.
+def find_real_submatrices(H, p: int, q: int, tol: Tolerances = DEFAULT_TOL):
+    """All p x q index selections whose entries are real as they stand."""
+    return _real_selections(H, p, q, lambda sub: _real_mask(sub, tol.eq_tol).all(axis=1))
 
-    Equivalent to all pairwise products e_i * conj(e_0) being real, tested
-    scale-free on the angle.  Entries of negligible modulus never obstruct.
-    """
-    anchor = None
-    for e in entries:
-        if abs(e) < 1e-12:
-            continue
-        if anchor is None:
-            anchor = e
-            continue
-        w = e * np.conj(anchor)
-        if abs(w.imag) / abs(w) >= eq_tol:
-            return False
-    return True
+
+def _real_up_to_phase(sub, eq_tol):
+    # anchor: a column's first entry of modulus >= 1e-12; smaller never obstruct
+    live = np.abs(sub) >= 1e-12
+    anchor = np.take_along_axis(sub, live.argmax(axis=1)[:, None, :], axis=1)
+    return np.all((mod_pi_sign(sub, anchor, eq_tol) != 0) | ~live, axis=1)
 
 
 def find_real_submatrices_up_to_rephasing(H, p: int, q: int, tol: Tolerances = DEFAULT_TOL):
     """All p x q selections that one phase per column makes entirely real."""
-    if not (1 <= p <= 6 and 1 <= q <= 6):
-        raise InvalidInput("submatrix dimensions must lie in 1..6")
-    A = as_matrix(H)
-    out = []
-    for rows in combinations(range(6), p):
-        sub = A[list(rows), :]
-        colok = [_collinear_mod_pi(sub[:, c], tol.eq_tol) for c in range(6)]
-        for cols in combinations(range(6), q):
-            if all(colok[c] for c in cols):
-                out.append(SubmatrixLoc(tuple(r + 1 for r in rows), tuple(c + 1 for c in cols)))
-    return out
+    return _real_selections(H, p, q, lambda sub: _real_up_to_phase(sub, tol.eq_tol))
 
 
-_ROWPAIRS = list(combinations(range(6), 2))
+class H2Partition(NamedTuple):
+    """Pairings of the rows and of the columns, as 1-based index pairs."""
+
+    rows: tuple
+    cols: tuple
 
 
-def _h2_block_ok(A, rpair, cpair, eq_tol):
-    (a, b), (c, d) = rpair, cpair
-    return abs(np.conj(A[a, c]) * A[b, c] + np.conj(A[a, d]) * A[b, d]) < eq_tol
+_PAIRS = list(combinations(range(6), 2))
+_PAIR_IDX = np.array(_PAIRS)
+# The 15 pair partitions of range(6) as indices into _PAIRS, lexicographic.
+_PARTITIONS = np.array([part for part in combinations(range(len(_PAIRS)), 3)
+                        if len({i for k in part for i in _PAIRS[k]}) == 6])
+
+
+def _h2_table(A, eq_tol):
+    """T[i, j]: the rows _PAIRS[i] are orthogonal on the columns _PAIRS[j]."""
+    P = np.conj(A[_PAIR_IDX[:, 0]]) * A[_PAIR_IDX[:, 1]]    # (row pair, column)
+    return np.abs(P[:, _PAIR_IDX[:, 0]] + P[:, _PAIR_IDX[:, 1]]) < eq_tol
 
 
 def count_h2_submatrices(H, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of the 225 2x2 submatrices whose two rows are orthogonal."""
-    A = as_matrix(H)
-    P = np.conj(A)[:, None, :] * A[None, :, :]  # P[a, b, c] = conj(A_ac) A_bc
-    G = P[:, :, :, None] + P[:, :, None, :]     # G[a, b, c, d]
-    n = 0
-    for a, b in _ROWPAIRS:
-        for c, d in _ROWPAIRS:
-            if abs(G[a, b, c, d]) < tol.eq_tol:
-                n += 1
-    return n
+    return int(np.sum(_h2_table(as_matrix(H), tol.eq_tol)))
 
 
-def _pair_partitions(items):
-    """Partitions of an even-sized list into unordered pairs, lexicographic."""
-    if not items:
-        yield ()
-        return
-    head = items[0]
-    for j in range(1, len(items)):
-        rest = [x for k, x in enumerate(items) if k not in (0, j)]
-        for sub in _pair_partitions(rest):
-            yield ((head, items[j]),) + sub
-
-
-def is_h2_reducible(H, tol: Tolerances = DEFAULT_TOL):
+def is_h2_reducible(H, tol: Tolerances = DEFAULT_TOL) -> H2Partition | None:
     """First pair-partition of rows and columns making all nine blocks
     orthogonal-row 2x2 submatrices, scanning both families of the 15
-    partitions in canonical order.  Returns (row_pairing, col_pairing)
-    with 1-based pairs, or None."""
-    A = as_matrix(H)
-    col_partitions = list(_pair_partitions(list(range(6))))
-    for rp in _pair_partitions(list(range(6))):
-        for cp in col_partitions:
-            if all(_h2_block_ok(A, r, c, tol.eq_tol) for r in rp for c in cp):
-                one_based = lambda pairing: tuple((i + 1, j + 1) for i, j in pairing)
-                return one_based(rp), one_based(cp)
-    return None
+    partitions in canonical order, rows outer.  Returns an H2Partition of
+    1-based pairs, or None."""
+    T = _h2_table(as_matrix(H), tol.eq_tol)
+    ok = T[_PARTITIONS[:, None, :, None], _PARTITIONS[None, :, None, :]].all(axis=(2, 3))
+    hits = np.flatnonzero(ok)
+    if not hits.size:
+        return None
+    one_based = lambda part: tuple((i + 1, j + 1) for i, j in (_PAIRS[k] for k in part))
+    r, c = divmod(int(hits[0]), len(_PARTITIONS))
+    return H2Partition(one_based(_PARTITIONS[r]), one_based(_PARTITIONS[c]))
 
 
 def find_unitary_submatrices(H, k: int, tol: Tolerances = DEFAULT_TOL):
@@ -257,12 +236,19 @@ class AnalysisReport:
     real_3x2_raw: list | None = None
     real_3x2_rephased: list | None = None
     h2_submatrix_count: int | None = None
-    h2_reducible_partition: tuple | None = None
+    h2_reducible_partition: H2Partition | None = None
     unitary_3x3: list | None = None
     product_triple_found: bool | None = None
 
 
-ALL_SECTIONS = ("real", "h2", "unitary", "product")
+# The AnalysisReport fields each section of analyze fills in.
+SECTION_FIELDS = {
+    "real": ("real_entry_count", "exceeds_bound", "real_3x2_raw", "real_3x2_rephased"),
+    "h2": ("h2_submatrix_count", "h2_reducible_partition"),
+    "unitary": ("unitary_3x3",),
+    "product": ("product_triple_found",),
+}
+ALL_SECTIONS = tuple(SECTION_FIELDS)
 
 
 def analyze(H, tol: Tolerances = DEFAULT_TOL, sections=ALL_SECTIONS) -> AnalysisReport:

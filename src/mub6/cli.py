@@ -11,6 +11,7 @@ the default equality tolerance; an explicit --tol flag wins over it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .analysis import ALL_SECTIONS, analyze
+from .analysis import ALL_SECTIONS, SECTION_FIELDS, analyze
 from .core import (
     DEFAULT_TOL,
     SQRT6,
@@ -26,6 +27,7 @@ from .core import (
     is_hadamard,
     matrix_from_json,
     matrix_to_json,
+    modulus_residual,
     unitarity_residual,
 )
 from .equivalence import dephase, to_lemma_form
@@ -51,22 +53,18 @@ class _CliError(Exception):
         self.code = code
 
 
-def _pair(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _record_dict(record) -> dict:
-    return {
-        "row_perm": list(record.row_perm),
-        "col_perm": list(record.col_perm),
-        "row_phases": [_pair(z) for z in record.row_phases],
-        "col_phases": [_pair(z) for z in record.col_phases],
-    }
-
-
-def _loc_dict(loc) -> dict:
-    return {"rows": list(loc.rows), "cols": list(loc.cols)}
+def _jsonable(obj):
+    """Plain JSON data: dataclasses and named tuples become objects in field
+    order, complex numbers [re, im] pairs, and sequences lists."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return {k: _jsonable(v) for k, v in zip(obj._fields, obj)}
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in obj]
+    return obj
 
 
 def _emit(obj) -> None:
@@ -186,9 +184,8 @@ def _cmd_families_show(parser, args) -> int:
 def _cmd_check(parser, args) -> int:
     tol = _tolerances(args)
     H = _load_matrix(args.path)
-    A = H.entries
-    mod_dev = float(np.max(np.abs(np.abs(A) * SQRT6 - 1.0)))
-    unit_res = unitarity_residual(A)
+    mod_dev = modulus_residual(H)
+    unit_res = unitarity_residual(H)
     unimodular_ok = mod_dev < tol.eq_tol
     unitary_ok = unit_res < tol.eq_tol
     hadamard = is_hadamard(H, tol)
@@ -228,14 +225,9 @@ def _cmd_normalize(parser, args) -> int:
         else:
             print("NONE")
         return 0
-    payload = {
-        "present": True,
-        "y": form.y,
-        "x": form.x,
-        "s": None if form.s is None else _pair(form.s),
-        "record": _record_dict(form.record),
-    }
     if args.json:
+        payload = {"present": True, **_jsonable(form)}
+        del payload["matrix"]
         _emit(payload)
     else:
         print(f"y = {form.y}")
@@ -252,28 +244,10 @@ def _cmd_normalize(parser, args) -> int:
 def _cmd_analyze(parser, args) -> int:
     tol = _tolerances(args)
     H = _load_matrix(args.path)
-    sections = ALL_SECTIONS if args.report == "full" else {
-        "real": ("real",), "h2": ("h2",), "product": ("product",),
-    }[args.report]
-    rep = analyze(H, tol, sections=sections)
-    payload = {"label": rep.label}
-    if "real" in sections:
-        payload["real_entry_count"] = rep.real_entry_count
-        payload["exceeds_bound"] = rep.exceeds_bound
-        payload["real_3x2_raw"] = [_loc_dict(l) for l in rep.real_3x2_raw]
-        payload["real_3x2_rephased"] = [_loc_dict(l) for l in rep.real_3x2_rephased]
-    if "h2" in sections:
-        payload["h2_submatrix_count"] = rep.h2_submatrix_count
-        part = rep.h2_reducible_partition
-        payload["h2_reducible_partition"] = None if part is None else {
-            "rows": [list(p) for p in part[0]],
-            "cols": [list(p) for p in part[1]],
-        }
-    if "unitary" in sections:
-        payload["unitary_3x3"] = [_loc_dict(l) for l in rep.unitary_3x3]
-    if "product" in sections:
-        payload["product_triple_found"] = rep.product_triple_found
-    _emit(payload)
+    sections = ALL_SECTIONS if args.report == "full" else (args.report,)
+    rep = _jsonable(analyze(H, tol, sections=sections))
+    wanted = {"label"}.union(*(SECTION_FIELDS[name] for name in sections))
+    _emit({k: v for k, v in rep.items() if k in wanted})
     return 0
 
 
@@ -282,18 +256,8 @@ def _cmd_refute(parser, args) -> int:
     t = _resolve_t(parser, args)
     rep = run_counterexample(t, tol)
     if args.json:
-        payload = {
-            "t": rep.t,
-            "is_hadamard_ok": rep.is_hadamard_ok,
-            "hadamard_residual": rep.hadamard_residual,
-            "lemma_form_ok": rep.lemma_form_ok,
-            "tail_ok": rep.tail_ok,
-            "s": None if rep.s is None else _pair(rep.s),
-            "third_col_moduli": list(rep.third_col_moduli),
-            "min_third_col_modulus": rep.min_third_col_modulus,
-            "verdict": rep.verdict,
-            "record": _record_dict(rep.record),
-        }
+        payload = _jsonable(rep)
+        del payload["matrix"]
         _emit(payload)
     else:
         ok = lambda b: "PASS" if b else "FAIL"
@@ -331,19 +295,9 @@ def _cmd_scan(parser, args) -> int:
 def _dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "families":
-        return _cmd_families_show(parser, args)
-    if args.command == "check":
-        return _cmd_check(parser, args)
-    if args.command == "normalize":
-        return _cmd_normalize(parser, args)
-    if args.command == "analyze":
-        return _cmd_analyze(parser, args)
-    if args.command == "refute":
-        return _cmd_refute(parser, args)
-    if args.command == "scan":
-        return _cmd_scan(parser, args)
-    parser.error(f"unknown command {args.command!r}")
+    command = {"families": _cmd_families_show, "check": _cmd_check, "normalize": _cmd_normalize,
+               "analyze": _cmd_analyze, "refute": _cmd_refute, "scan": _cmd_scan}[args.command]
+    return command(parser, args)
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,9 @@ __all__ = [
     "inner",
     "is_unitary",
     "is_hadamard",
+    "modulus_residual",
     "unitarity_residual",
+    "mod_pi_sign",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -129,12 +131,24 @@ def is_unitary(M, tol: Tolerances = DEFAULT_TOL) -> bool:
     return unitarity_residual(M) < tol.eq_tol
 
 
+def modulus_residual(M) -> float:
+    """Max over entries of |sqrt(6) |m_ij| - 1|: the deviation of the entry
+    moduli from 1/sqrt(6), relative to that modulus."""
+    return float(np.max(np.abs(np.abs(as_matrix(M)) * SQRT6 - 1.0)))
+
+
 def is_hadamard(M, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff every entry has modulus within eq_tol of 1/sqrt(6) and M is unitary."""
-    A = as_matrix(M)
-    if np.max(np.abs(np.abs(A) - 1.0 / SQRT6)) >= tol.eq_tol:
-        return False
-    return is_unitary(A, tol)
+    """True iff modulus_residual and unitarity_residual are both below eq_tol."""
+    return modulus_residual(M) < tol.eq_tol and is_unitary(M, tol)
+
+
+def mod_pi_sign(z, anchor, eq_tol):
+    """Elementwise sign of z / anchor where that ratio is real, else 0.  The
+    test is scale-free, |Im w| < eq_tol |w| for w = z conj(anchor): the two
+    phases agree mod pi.  A zero z or anchor has no phase and gives 0."""
+    w = np.asarray(z) * np.conj(anchor)
+    real = np.abs(w.imag) < eq_tol * np.abs(w)
+    return np.where(real, np.sign(w.real), 0.0).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +196,10 @@ def matrix_from_json(text: str) -> CMat6:
             re, im = cell
             if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
                 raise InvalidInput(f"entry ({i},{j}) has non-numeric parts")
-            entries[i, j] = complex(re, im)
+            try:
+                entries[i, j] = complex(re, im)
+            except OverflowError as exc:
+                raise InvalidInput(f"entry ({i},{j}) does not fit a double: {exc}") from exc
     label = obj.get("label") or None
     if label is not None and not isinstance(label, str):
         raise InvalidInput("'label' must be a string")

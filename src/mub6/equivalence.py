@@ -23,7 +23,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import CMat6, DEFAULT_TOL, SQRT6, Tolerances, as_matrix, is_hadamard
+from .core import CMat6, DEFAULT_TOL, SQRT6, Tolerances, as_matrix, is_hadamard, mod_pi_sign
 from .errors import InvalidInput, SolveError
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "apply",
     "dephase",
     "to_lemma_form",
+    "split_tail",
 ]
 
 
@@ -135,64 +136,44 @@ class LemmaForm:
         return self.y == 1 and self.x == 1
 
 
-def _collinear_signs(z, eq_tol):
-    """Signs (s1, s2, s3) if the three complex numbers lie on one line
-    through the origin (phases equal mod pi), else None.  Inputs carry
-    modulus 1/6; products are rescaled to unit modulus before testing."""
-    z0 = z[0]
-    signs = [1]
-    for zi in z[1:]:
-        w = zi * np.conj(z0) * 36.0
-        if abs(w.imag) >= eq_tol:
-            return None
-        signs.append(1 if w.real > 0.0 else -1)
-    return tuple(signs)
-
-
-def _positional_tail_s(tail_unimodular, eq_tol):
-    """s such that the tail reads (-1, s, -s) in order, up to placement of
-    the -1 anchor.  Returns None if the pattern does not match."""
-    t = tail_unimodular
-    for k in range(3):
-        if abs(t[k] + 1.0) < eq_tol * 10.0:
-            u, w = [t[i] for i in range(3) if i != k]
-            if abs(u + w) < eq_tol * 10.0:
-                return complex(u)
+def split_tail(z, eq_tol):
+    """(k, u) for the first position k where the three values read -1 and,
+    in order at the other two positions, u and -u, all within eq_tol;
+    None when no position matches."""
+    for k, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
+        if abs(z[k] + 1.0) < eq_tol and abs(z[i] + z[j]) < eq_tol:
+            return k, complex(z[i])
     return None
+
+
+# Candidate table axes of to_lemma_form, in lexicographic order.
+_COL_PAIRS = np.array(list(permutations(range(6), 2)))
+_ROW_TRIPLES = np.array(list(permutations(range(6), 3)))
 
 
 def to_lemma_form(H, tol: Tolerances = DEFAULT_TOL) -> LemmaForm | None:
     """Search the equivalence orbit for the real 3x2 normal form.
 
-    Scans all ordered column pairs and ordered row triples for three rows
-    on which the two columns are collinear mod pi (one phase per column
-    makes the 3x2 block real).  Candidates are enumerated in lexicographic
-    order and the first normalizable hit, pattern (1, -1), wins; if only
-    rank-one blocks exist, the first of those is returned unnormalized.
-    Returns None when no candidate exists.
+    H must be a Hadamard matrix (is_hadamard at tol), else InvalidInput.
+    Over all ordered column pairs (c1, c2) and ordered row triples, the
+    candidates are the triples on which the ratios A[r, c2] / A[r, c1] are
+    real multiples of each other (one phase per column then makes the 3x2
+    block real).  In lexicographic order of (c1, c2, rows) the first
+    normalizable hit, sign pattern (1, -1), wins; if only rank-one blocks
+    exist, the first of those is returned unnormalized.  Returns None when
+    no candidate exists.
     """
     A = as_matrix(H)
-    hit = _scan_candidates(A, tol, want=(1, -1))
-    if hit is None:
-        hit = _scan_candidates(A, tol, want=(1, 1))
-    if hit is None:
-        return None
-    (c1, c2, rows) = hit
-    return _build_lemma_form(A, H, c1, c2, rows, tol)
-
-
-def _scan_candidates(A, tol, want):
-    for c1 in range(6):
-        for c2 in range(6):
-            if c2 == c1:
-                continue
-            z_all = A[:, c2] * np.conj(A[:, c1])
-            for rows in permutations(range(6), 3):
-                signs = _collinear_signs([z_all[r] for r in rows], tol.eq_tol)
-                if signs is None:
-                    continue
-                if (signs[1], signs[2]) == want:
-                    return (c1, c2, rows)
+    if not is_hadamard(A, tol):
+        raise InvalidInput("lemma form needs a Hadamard matrix (entries of modulus "
+                           "1/sqrt(6), unitary) within the tolerance")
+    Z = (A[:, _COL_PAIRS[:, 1]] * np.conj(A[:, _COL_PAIRS[:, 0]])).T[:, _ROW_TRIPLES]
+    S = mod_pi_sign(Z[..., 1:], Z[..., :1], tol.eq_tol)     # (30 pairs, 120 triples, 2)
+    for y, x in ((1, -1), (1, 1)):
+        hits = np.flatnonzero((S[..., 0] == y) & (S[..., 1] == x))
+        if hits.size:
+            p, t = divmod(int(hits[0]), len(_ROW_TRIPLES))
+            return _build_lemma_form(A, H, *_COL_PAIRS[p].tolist(), _ROW_TRIPLES[t].tolist(), tol)
     return None
 
 
@@ -215,9 +196,10 @@ def _build_lemma_form(A, H, c1, c2, rows, tol):
 
     s = None
     if (y, x) == (1, -1):
-        s = _positional_tail_s(B[3:, 1] * SQRT6, tol.eq_tol)
-        if s is None:
+        split = split_tail(B[3:, 1] * SQRT6, tol.eq_tol * 10.0)
+        if split is None:
             raise SolveError("second column tail does not read (-1, s, -s)")
+        s = split[1]
 
     # replay property: the record reproduces the normal form from the source
     replay = apply(A, rec)

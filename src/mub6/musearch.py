@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import DEFAULT_TOL, SQRT6, ColVec6, Tolerances, as_matrix
+from .core import DEFAULT_TOL, SQRT6, ColVec6, Tolerances, as_matrix, modulus_residual
 from .errors import DomainError, InvalidInput, SolveError
 from .families import m6
 
@@ -265,7 +265,7 @@ def verify_triple(H, vectors, clique, tol: Tolerances = DEFAULT_TOL) -> bool:
     gram = B.conj().T @ B
     if np.max(np.abs(gram - np.eye(6))) >= tol.eq_tol:
         return False
-    if np.max(np.abs(np.abs(B) * SQRT6 - 1.0)) >= tol.eq_tol:
+    if modulus_residual(B) >= tol.eq_tol:
         return False
     cross = np.abs(A.conj().T @ B) ** 2
     return bool(np.max(np.abs(6.0 * cross - 1.0)) < tol.residual_tol)

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, SQRT6, ColVec6, CMat6, Tolerances, is_hadamard, unitarity_residual
-from .equivalence import TransformRecord, apply
+from .core import (DEFAULT_TOL, SQRT6, ColVec6, CMat6, Tolerances, is_hadamard,
+                   modulus_residual, unitarity_residual)
+from .equivalence import TransformRecord, apply, split_tail
 from .errors import InvalidInput, SearchFailure
 from .families import m6
 from .musearch import _phases_to_vectors, solve_phases
@@ -72,10 +73,6 @@ class ThirdColumnWitness:
     residuals: tuple
 
 
-def _modulus_residual(A):
-    return float(np.max(np.abs(np.abs(A) * SQRT6 - 1.0)))
-
-
 def run_counterexample(t: float, tol: Tolerances = DEFAULT_TOL) -> LemmaReport:
     """Normalize m6(t) to lemma form by the fixed recipe and audit the claim.
 
@@ -96,7 +93,7 @@ def run_counterexample(t: float, tol: Tolerances = DEFAULT_TOL) -> LemmaReport:
     M = apply(H, record)
     A = M.entries
 
-    hadamard_residual = max(unitarity_residual(A), _modulus_residual(A))
+    hadamard_residual = max(unitarity_residual(M), modulus_residual(M))
     is_hadamard_ok = is_hadamard(M, tol)
 
     eq = tol.eq_tol
@@ -110,9 +107,10 @@ def run_counterexample(t: float, tol: Tolerances = DEFAULT_TOL) -> LemmaReport:
 
     tail = c2[3:6]
     canonical = verify_tail_structure(tuple(tail), tol)
-    positional = bool(abs(tail[0] + 1.0) < eq and abs(tail[1] + tail[2]) < eq)
-    tail_ok = canonical is not None and positional
-    s = complex(tail[1]) if tail_ok else None
+    split = split_tail(tail, eq)
+    # the claim fixes the order: the -1 anchor comes first
+    tail_ok = canonical is not None and split[0] == 0
+    s = split[1] if tail_ok else None
 
     moduli = tuple(float(x) for x in np.abs(A[:, 2]))
     min_modulus = min(moduli)
@@ -148,18 +146,15 @@ def verify_tail_structure(c2_tail, tol: Tolerances = DEFAULT_TOL):
         raise InvalidInput("tail values must be unimodular")
     if abs(np.sum(z) + 1.0) > eq:
         return None
-    for k in range(3):
-        if abs(z[k] + 1.0) >= eq:
-            continue
-        u, w = z[[j for j in range(3) if j != k]]
-        if abs(u + w) >= eq:
-            continue
-        if u.imag >= eq:
-            return complex(u)
-        if u.imag <= -eq:
-            return complex(-u)
-        return complex(1.0)
-    return None
+    split = split_tail(z, eq)
+    if split is None:
+        return None
+    u = split[1]
+    if u.imag >= eq:
+        return u
+    if u.imag <= -eq:
+        return -u
+    return complex(1.0)
 
 
 def _orthogonality_residuals(c1, c2, v):

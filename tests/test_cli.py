@@ -72,6 +72,19 @@ def test_check_rejects_non_hadamard_with_exit_2(capsys, tmp_path):
     assert rep["unimodular_ok"] is False
 
 
+def test_check_modulus_and_hadamard_verdicts_agree(capsys, tmp_path):
+    """An F6 entry off the 1/sqrt(6) modulus by a relative 2e-9 fails the
+    unimodularity test at eq_tol = 1e-9, so it cannot be Hadamard."""
+    A = mub6.fourier_f6().entries.copy()
+    A[2, 3] *= 1 + 2e-9
+    p = tmp_path / "off.json"
+    p.write_text(matrix_to_json(A))
+    code, out, _ = run(capsys, "check", "--in", p, "--json")
+    rep = json.loads(out)
+    assert rep["is_hadamard"] is False and rep["unimodular_ok"] is False
+    assert code == 2
+
+
 def test_refute_exits_0(capsys):
     code, out, _ = run(capsys, "refute", "--t", PI)
     assert code == 0
@@ -189,17 +202,19 @@ def test_normalize_lemma_form_absent(capsys, tmp_path, schemas, s6mat):
 def test_normalize_lemma_form_planted_block_exits_1(tmp_path, flags):
     """A unimodular non-Hadamard matrix with a planted real (1, -1) block
     has no (-1, s, -s) tail.  The check must also run under python -O and
-    end in exit 1 with a message, not a traceback or a form without s."""
+    end in exit 1 with a message, not a traceback or a form without s.
+    An unscaled F6 is not Hadamard either and ends the same way."""
     A = np.exp(2j * PI * np.random.default_rng(7).random((6, 6)))
     A[:3, :2] = [[1, 1], [1, 1], [1, -1]]
-    p = tmp_path / "planted.json"
-    p.write_text(matrix_to_json(A / SQRT6))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-m", "mub6.cli", "normalize", "--in", str(p), "--lemma-form"],
-        capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr and "error" in proc.stderr
+    for M in (A / SQRT6, mub6.fourier_f6().entries * SQRT6):
+        p = tmp_path / "planted.json"
+        p.write_text(matrix_to_json(M))
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "mub6.cli", "normalize", "--in", str(p), "--lemma-form"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr and "error" in proc.stderr
 
 
 @pytest.mark.parametrize("report", ["full", "real", "h2", "product"])

@@ -144,3 +144,17 @@ def test_lemma_form_invariant_under_rephasing(f6):
                             np.exp(2j * np.pi * rng.uniform(size=6)))
         form = to_lemma_form(apply(f6, r))
         assert form is not None
+
+
+@pytest.mark.parametrize("scale", [1.0, SQRT6], ids=["planted", "unscaled_f6"])
+def test_lemma_form_requires_hadamard_input(scale):
+    """Non-Hadamard input is rejected before the search: a unimodular
+    matrix with a planted real (1, -1) block, and an unscaled F6."""
+    if scale == 1.0:
+        A = np.exp(2j * np.pi * np.random.default_rng(7).random((6, 6)))
+        A[:3, :2] = [[1, 1], [1, 1], [1, -1]]
+        A /= SQRT6
+    else:
+        A = mub6.fourier_f6().entries * SQRT6
+    with pytest.raises(InvalidInput, match="Hadamard"):
+        to_lemma_form(A)
