@@ -154,25 +154,21 @@ def is_h2_reducible(H, tol: Tolerances = DEFAULT_TOL) -> H2Partition | None:
 
 
 def find_unitary_submatrices(H, k: int, tol: Tolerances = DEFAULT_TOL):
-    """All k x k submatrices proportional to a unitary matrix.
+    """All k x k submatrices proportional to a unitary matrix, rows outer.
 
     The test is S S* = c I for some c > 0, entry-wise within eq_tol, which
-    amounts to pairwise-orthogonal rows of equal norm.
+    amounts to pairwise-orthogonal rows of equal norm; c is the mean of the
+    diagonal of S S*.  All C(6, k)^2 blocks are tested in one batch.
     """
     if not (2 <= k <= 6):
         raise InvalidInput("k must lie in 2..6")
-    A = as_matrix(H)
-    out = []
-    eye = np.eye(k)
-    for rows in combinations(range(6), k):
-        Ar = A[list(rows), :]
-        for cols in combinations(range(6), k):
-            S = Ar[:, list(cols)]
-            G = S @ S.conj().T
-            c = float(np.mean(np.diagonal(G).real))
-            if c > 0.0 and np.max(np.abs(G - c * eye)) < tol.eq_tol:
-                out.append(SubmatrixLoc(tuple(r + 1 for r in rows), tuple(c_ + 1 for c_ in cols)))
-    return out
+    sets = np.array(list(combinations(range(6), k)))
+    S = as_matrix(H)[sets[:, None, :, None], sets[None, :, None, :]]    # (rows, cols, k, k)
+    G = S @ np.conj(S).swapaxes(-1, -2)
+    c = np.diagonal(G, axis1=-2, axis2=-1).real.mean(axis=-1)
+    ok = (c > 0.0) & (np.abs(G - c[..., None, None] * np.eye(k)).max(axis=(-2, -1)) < tol.eq_tol)
+    return [SubmatrixLoc(tuple(sets[r] + 1), tuple(sets[c_] + 1))
+            for r, c_ in zip(*np.nonzero(ok))]
 
 
 def submatrix_rank(H, loc: SubmatrixLoc, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -196,34 +192,32 @@ def is_product_vector(v, factorization: str, tol: Tolerances = DEFAULT_TOL) -> b
     return bool(sv[1] < tol.rank_tol * sv[0])
 
 
-_PERMS = None
-
-
-def _all_perms():
-    global _PERMS
-    if _PERMS is None:
-        _PERMS = np.array(list(permutations(range(6))))
-    return _PERMS
-
-
-_COLTRIPLES = list(combinations(range(6), 3))
+# One representative per grid class (see product_triple_exists): the row
+# orders p with p[0] = 0 and p[1] < p[2], read row-major into 2x3.
+_GRIDS = np.array([p for p in permutations(range(6))
+                   if p[0] == 0 and p[1] < p[2]]).reshape(-1, 2, 3)
 
 
 def product_triple_exists(H, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when some row permutation and factorization make three of the
-    six columns simultaneously product vectors.  Brute force over all 720
-    permutations and both reshapes; batched SVD keeps it in milliseconds."""
-    A = as_matrix(H)
-    perms = _all_perms()
-    cols = np.transpose(A[perms], (0, 2, 1))          # (720, col, entry)
-    for shape in ((2, 3), (3, 2)):
-        blocks = cols.reshape(720, 6, *shape)
-        sv = np.linalg.svd(blocks, compute_uv=False)  # (720, 6, 2)
-        isprod = sv[..., 1] < tol.rank_tol * sv[..., 0]
-        for tr in _COLTRIPLES:
-            if np.any(isprod[:, tr].all(axis=1)):
-                return True
-    return False
+    six columns simultaneously product vectors.
+
+    The rank of a column reshaped to 2x3 under a row order depends only on
+    the grid: which indices share a block row and which share a column.
+    Swapping the grid rows or permuting its columns keeps the rank, so the
+    720 orders form 60 classes.  The 3x2 reshape under p is the transpose
+    of the 2x3 one under (p0, p2, p4, p1, p3, p5), with the same singular
+    values, so it adds no class.  The test is is_product_vector's SVD rank
+    test, batched over 60 grids x 6 columns.
+
+    The answer belongs to the matrix as given, not to its equivalence
+    class: a row rephasing that is not a tensor product can remove the
+    triple, so on a disguised matrix it answers for the disguise.
+    """
+    blocks = np.transpose(as_matrix(H)[_GRIDS], (0, 3, 1, 2))    # (grid, col, 2, 3)
+    sv = np.linalg.svd(blocks, compute_uv=False)
+    isprod = sv[..., 1] < tol.rank_tol * sv[..., 0]
+    return bool((isprod.sum(axis=1) >= 3).any())
 
 
 @dataclass(frozen=True)

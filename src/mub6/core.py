@@ -10,6 +10,7 @@ zero") translate directly into the checks.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import InvalidInput
 
 SQRT6 = np.sqrt(6.0)
+_MAX_DOUBLE = float(np.finfo(float).max)
 
 __all__ = [
     "SQRT6",
@@ -121,10 +123,18 @@ def inner(u, v) -> complex:
     return complex(np.vdot(as_vector(u), as_vector(v)))
 
 
+def _saturated(x) -> float:
+    """x as a float, with a non-finite value (from overflow) replaced by the
+    largest finite double, so a residual always stays a JSON number."""
+    x = float(x)
+    return x if math.isfinite(x) else _MAX_DOUBLE
+
+
 def unitarity_residual(M) -> float:
-    """Entry-wise max norm of M M* - I."""
+    """Entry-wise max norm of M M* - I, saturated at the largest double."""
     A = as_matrix(M)
-    return float(np.max(np.abs(A @ A.conj().T - np.eye(6))))
+    with np.errstate(all="ignore"):
+        return _saturated(np.max(np.abs(A @ A.conj().T - np.eye(6))))
 
 
 def is_unitary(M, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -133,8 +143,10 @@ def is_unitary(M, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def modulus_residual(M) -> float:
     """Max over entries of |sqrt(6) |m_ij| - 1|: the deviation of the entry
-    moduli from 1/sqrt(6), relative to that modulus."""
-    return float(np.max(np.abs(np.abs(as_matrix(M)) * SQRT6 - 1.0)))
+    moduli from 1/sqrt(6), relative to that modulus, saturated at the
+    largest double."""
+    with np.errstate(all="ignore"):
+        return _saturated(np.max(np.abs(np.abs(as_matrix(M)) * SQRT6 - 1.0)))
 
 
 def is_hadamard(M, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -145,10 +157,13 @@ def is_hadamard(M, tol: Tolerances = DEFAULT_TOL) -> bool:
 def mod_pi_sign(z, anchor, eq_tol):
     """Elementwise sign of z / anchor where that ratio is real, else 0.  The
     test is scale-free, |Im w| < eq_tol |w| for w = z conj(anchor): the two
-    phases agree mod pi.  A zero z or anchor has no phase and gives 0."""
-    w = np.asarray(z) * np.conj(anchor)
-    real = np.abs(w.imag) < eq_tol * np.abs(w)
-    return np.where(real, np.sign(w.real), 0.0).astype(int)
+    phases agree mod pi.  A zero z or anchor has no phase and gives 0, and
+    so does a product whose overflow leaves a NaN or infinite imaginary
+    part."""
+    with np.errstate(all="ignore"):
+        w = np.asarray(z) * np.conj(anchor)
+        real = np.abs(w.imag) < eq_tol * np.abs(w)
+        return np.where(real, np.sign(w.real), 0.0).astype(int)
 
 
 # ---------------------------------------------------------------------------

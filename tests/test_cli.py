@@ -85,6 +85,30 @@ def test_check_modulus_and_hadamard_verdicts_agree(capsys, tmp_path):
     assert code == 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+BIG = np.finfo(float).max
+
+
+@pytest.mark.parametrize("modulus, modulus_deviation", [(1e300, SQRT6 * 1e300), (1.5e308, BIG)])
+def test_check_json_stays_finite_on_overflowing_input(capsys, tmp_path, schemas, modulus,
+                                                      modulus_deviation):
+    """F6 with entries of a huge but finite modulus.  Residuals that
+    overflow saturate at the largest double, so the report stays valid JSON
+    with number fields."""
+    p = tmp_path / "huge.json"
+    p.write_text(matrix_to_json(mub6.fourier_f6().entries * SQRT6 * modulus))
+    code, out, err = run(capsys, "check", "--in", p, "--json")
+    assert code == 2 and err == ""
+    rep = json.loads(out, parse_constant=_reject_constant)
+    validate(schemas, "check_report.schema.json", out)
+    assert rep["unitarity_residual"] == BIG
+    assert rep["max_modulus_deviation"] == pytest.approx(modulus_deviation)
+    assert rep["is_hadamard"] is False
+
+
 def test_refute_exits_0(capsys):
     code, out, _ = run(capsys, "refute", "--t", PI)
     assert code == 0

@@ -13,7 +13,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import mub6
 from mub6 import SQRT6, matrix_to_json
@@ -103,8 +103,13 @@ commands = st.sampled_from([
 ])
 
 
+def _reject_constant(name):
+    raise AssertionError(f"{name} in JSON output")
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(matrix_texts(), commands, tols, st.booleans())
+@example(matrix_to_json(mub6.fourier_f6().entries * 1e300), ["check"], None, True)
 def test_cli_fails_closed(text, command, tol, as_json):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
@@ -122,3 +127,5 @@ def test_cli_fails_closed(text, command, tol, as_json):
     assert "Traceback" not in err.getvalue()
     if code != 0 and code != 2:
         assert out.getvalue() == "" and "error" in err.getvalue()
+    elif as_json:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

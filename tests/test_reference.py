@@ -1,11 +1,12 @@
 """Loop versions of the table-driven searches, kept as references.
 
 to_lemma_form, find_real_submatrices_up_to_rephasing, count_h2_submatrices,
-is_h2_reducible and the CLI's JSON output were once written as explicit
-loops and hand-built payloads.  Those versions live on here, and the
-package must agree with them exactly: on disguised members of all four
-families (random and permute-only moves) and on b6 at theta = pi.  For the
-JSON outputs, agreement means byte-equal stdout.
+is_h2_reducible, find_unitary_submatrices, product_triple_exists and the
+CLI's JSON output were once written as explicit loops, brute force and
+hand-built payloads.  Those versions live on here, and the package must
+agree with them exactly: on disguised members of all four families (random
+and permute-only moves) and on b6 at theta = pi.  For the JSON outputs,
+agreement means byte-equal stdout.
 """
 
 import json
@@ -16,7 +17,7 @@ import pytest
 
 import mub6
 from mub6 import SQRT6, matrix_to_json
-from mub6.analysis import ALL_SECTIONS, _PAIRS, _PARTITIONS
+from mub6.analysis import ALL_SECTIONS, _GRIDS, _PAIRS, _PARTITIONS
 from mub6.cli import main
 
 EQ = mub6.DEFAULT_TOL.eq_tol
@@ -193,6 +194,69 @@ def test_h2_table_matches_loops():
         assert got == ref_h2_reducible(A, EQ)
         reducible += got is not None
     assert reducible > 50
+
+
+# ------------------------------------------------- unitary and product
+
+def ref_unitary_submatrices(A, k, eq_tol):
+    out = []
+    eye = np.eye(k)
+    for rows in combinations(range(6), k):
+        Ar = A[list(rows), :]
+        for cols in combinations(range(6), k):
+            S = Ar[:, list(cols)]
+            G = S @ S.conj().T
+            c = float(np.mean(np.diagonal(G).real))
+            if c > 0.0 and np.max(np.abs(G - c * eye)) < eq_tol:
+                out.append((tuple(r + 1 for r in rows), tuple(c_ + 1 for c_ in cols)))
+    return out
+
+
+ALL_PERMS = np.array(list(permutations(range(6))))
+
+
+def ref_product_triple_exists(A, rank_tol):
+    """All 720 row orders, both reshapes, every column triple."""
+    cols = np.transpose(A[ALL_PERMS], (0, 2, 1))          # (720, col, entry)
+    for shape in ((2, 3), (3, 2)):
+        sv = np.linalg.svd(cols.reshape(720, 6, *shape), compute_uv=False)
+        isprod = sv[..., 1] < rank_tol * sv[..., 0]
+        for tr in combinations(range(6), 3):
+            if np.any(isprod[:, tr].all(axis=1)):
+                return True
+    return False
+
+
+def test_unitary_and_product_match_loops():
+    families = [mub6.fourier_f6(), mub6.m6(0.9 * np.pi), mub6.b6(0.9 * np.pi), mub6.s6()]
+    outcomes = set()
+    for D in INPUTS + families:
+        A = mub6.core.as_matrix(D)
+        for k in range(2, 7):
+            got = [(l.rows, l.cols) for l in mub6.find_unitary_submatrices(D, k)]
+            assert got == ref_unitary_submatrices(A, k, EQ)
+        found = mub6.product_triple_exists(D)
+        assert found == ref_product_triple_exists(A, mub6.DEFAULT_TOL.rank_tol)
+        outcomes.add(found)
+    assert outcomes == {True, False}
+
+
+def _grid_class(grid):
+    """Canonical 2x3 grid up to swapping its rows and permuting its
+    columns: the row holding 0 on top, the columns sorted by top entry."""
+    top, bottom = grid.tolist() if 0 in grid[0] else grid[::-1].tolist()
+    return tuple(zip(*sorted(zip(top, bottom))))
+
+
+def test_grid_table_covers_every_arrangement():
+    """Each of the 720 row orders under the 2x3 reshape, and under the 3x2
+    reshape read as its transpose, falls into the class of one table row,
+    and every table row is hit."""
+    table = {tuple(map(tuple, g)) for g in _GRIDS.tolist()}
+    assert len(table) == len(_GRIDS) == 60
+    classes = {_grid_class(p.reshape(2, 3)) for p in ALL_PERMS}
+    classes |= {_grid_class(p.reshape(3, 2).T) for p in ALL_PERMS}
+    assert classes == table
 
 
 # ------------------------------------------------------- CLI JSON payloads
