@@ -26,7 +26,6 @@ from .errors import (
     InvalidInput,
     DomainError,
     SolveError,
-    SearchFailure,
 )
 from .families import (
     is_admissible_t,

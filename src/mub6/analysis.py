@@ -70,7 +70,8 @@ class SubmatrixLoc:
 
 def _real_mask(A, eq_tol):
     # entries carry the 1/sqrt(6) scale, so realness is tested scale-relative
-    return np.abs(A.imag) * SQRT6 < eq_tol
+    with np.errstate(all="ignore"):
+        return np.abs(A.imag) * SQRT6 < eq_tol
 
 
 def count_real_entries(H, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -129,8 +130,9 @@ _PARTITIONS = np.array([part for part in combinations(range(len(_PAIRS)), 3)
 
 def _h2_table(A, eq_tol):
     """T[i, j]: the rows _PAIRS[i] are orthogonal on the columns _PAIRS[j]."""
-    P = np.conj(A[_PAIR_IDX[:, 0]]) * A[_PAIR_IDX[:, 1]]    # (row pair, column)
-    return np.abs(P[:, _PAIR_IDX[:, 0]] + P[:, _PAIR_IDX[:, 1]]) < eq_tol
+    with np.errstate(all="ignore"):
+        P = np.conj(A[_PAIR_IDX[:, 0]]) * A[_PAIR_IDX[:, 1]]    # (row pair, column)
+        return np.abs(P[:, _PAIR_IDX[:, 0]] + P[:, _PAIR_IDX[:, 1]]) < eq_tol
 
 
 def count_h2_submatrices(H, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -164,9 +166,10 @@ def find_unitary_submatrices(H, k: int, tol: Tolerances = DEFAULT_TOL):
         raise InvalidInput("k must lie in 2..6")
     sets = np.array(list(combinations(range(6), k)))
     S = as_matrix(H)[sets[:, None, :, None], sets[None, :, None, :]]    # (rows, cols, k, k)
-    G = S @ np.conj(S).swapaxes(-1, -2)
-    c = np.diagonal(G, axis1=-2, axis2=-1).real.mean(axis=-1)
-    ok = (c > 0.0) & (np.abs(G - c[..., None, None] * np.eye(k)).max(axis=(-2, -1)) < tol.eq_tol)
+    with np.errstate(all="ignore"):
+        G = S @ np.conj(S).swapaxes(-1, -2)
+        c = np.diagonal(G, axis1=-2, axis2=-1).real.mean(axis=-1)
+        ok = (c > 0.0) & (np.abs(G - c[..., None, None] * np.eye(k)).max(axis=(-2, -1)) < tol.eq_tol)
     return [SubmatrixLoc(tuple(sets[r] + 1), tuple(sets[c_] + 1))
             for r, c_ in zip(*np.nonzero(ok))]
 

@@ -103,12 +103,14 @@ def dephase(H, tol: Tolerances = DEFAULT_TOL):
     first row or column vanishes, since its phase is then undefined.
     """
     A = as_matrix(H)
-    if np.min(np.abs(A[:, 0])) < 1e-12 or np.min(np.abs(A[0, :])) < 1e-12:
-        raise InvalidInput("dephasing undefined: zero entry in first row or column")
-    rph = np.conj(A[:, 0] / np.abs(A[:, 0]))
-    B = rph[:, None] * A
-    cph = np.conj(B[0, :] / np.abs(B[0, :]))
-    B = B * cph[None, :]
+    # huge entries may overflow to non-finite ones, which CMat6 rejects
+    with np.errstate(all="ignore"):
+        if np.min(np.abs(A[:, 0])) < 1e-12 or np.min(np.abs(A[0, :])) < 1e-12:
+            raise InvalidInput("dephasing undefined: zero entry in first row or column")
+        rph = np.conj(A[:, 0] / np.abs(A[:, 0]))
+        B = rph[:, None] * A
+        cph = np.conj(B[0, :] / np.abs(B[0, :]))
+        B = B * cph[None, :]
     rec = TransformRecord((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), rph, cph)
     label = H.label if isinstance(H, CMat6) else None
     return CMat6(B, label), rec
@@ -167,13 +169,18 @@ def to_lemma_form(H, tol: Tolerances = DEFAULT_TOL) -> LemmaForm | None:
     if not is_hadamard(A, tol):
         raise InvalidInput("lemma form needs a Hadamard matrix (entries of modulus "
                            "1/sqrt(6), unitary) within the tolerance")
-    Z = (A[:, _COL_PAIRS[:, 1]] * np.conj(A[:, _COL_PAIRS[:, 0]])).T[:, _ROW_TRIPLES]
-    S = mod_pi_sign(Z[..., 1:], Z[..., :1], tol.eq_tol)     # (30 pairs, 120 triples, 2)
-    for y, x in ((1, -1), (1, 1)):
-        hits = np.flatnonzero((S[..., 0] == y) & (S[..., 1] == x))
-        if hits.size:
-            p, t = divmod(int(hits[0]), len(_ROW_TRIPLES))
-            return _build_lemma_form(A, H, *_COL_PAIRS[p].tolist(), _ROW_TRIPLES[t].tolist(), tol)
+    # a loose tol admits huge entries whose products overflow; a form built
+    # from them fails the checks of _build_lemma_form
+    with np.errstate(all="ignore"):
+        R = (A[:, _COL_PAIRS[:, 1]] * np.conj(A[:, _COL_PAIRS[:, 0]])).T     # (30 pairs, 6 rows)
+        # the first row of each triple is gathered apart, so no temporary reaches 128 KiB
+        S = mod_pi_sign(R[:, _ROW_TRIPLES[:, 1:]], R[:, _ROW_TRIPLES[:, :1]], tol.eq_tol)
+        for y, x in ((1, -1), (1, 1)):
+            hits = np.flatnonzero((S[..., 0] == y) & (S[..., 1] == x))
+            if hits.size:
+                p, t = divmod(int(hits[0]), len(_ROW_TRIPLES))
+                return _build_lemma_form(A, H, *_COL_PAIRS[p].tolist(),
+                                         _ROW_TRIPLES[t].tolist(), tol)
     return None
 
 

@@ -15,7 +15,3 @@ class DomainError(Mub6Error, ValueError):
 
 class SolveError(Mub6Error, RuntimeError):
     """An entry solver failed to produce a solution within tolerance."""
-
-
-class SearchFailure(Mub6Error, RuntimeError):
-    """A multi-start search exhausted its budget without an acceptable result."""

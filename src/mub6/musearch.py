@@ -6,7 +6,7 @@ and removes the global-phase gauge.  Unbiasedness to H is the six real
 equations 6 |<h_j, v>|^2 = 1.  ``solve_phases`` is a batched
 Levenberg-Marquardt solver with per-start damping (Moré 1978); it runs every
 start at once and drives each converging start to a machine-precision
-residual.  The witness search of ``refutation`` uses the same solver.
+residual.
 
 Converged starts are deduplicated greedily in phase space (angular distance
 with wraparound, compared against an array of the representatives kept so

@@ -6,8 +6,11 @@ its first row and column are constant and its second column reads
 and sixth entries.  ``run_counterexample`` normalizes a member of the
 symmetric one-parameter family into exactly that shape and measures the
 third-column moduli, which all stay at 1/sqrt(6).  ``third_column_witness``
-attacks the same claim abstractly: for any unimodular s it searches for a
-fully unimodular vector orthogonal to both normalized columns.
+refutes the same claim abstractly and for every unimodular s at once: the
+fully unimodular vector v = (1, w^2, 1, w^2, -w, -w)/sqrt(6), w = exp(-i pi/3),
+is orthogonal to both normalized columns, because 1 - w + w^2 = 0 makes its
+entries sum to zero and its entries cancel in pairs against
+(1, 1, -1, -1, s, -s).
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ import numpy as np
 from .core import (DEFAULT_TOL, SQRT6, ColVec6, CMat6, Tolerances, is_hadamard,
                    modulus_residual, unitarity_residual)
 from .equivalence import TransformRecord, apply, split_tail
-from .errors import InvalidInput, SearchFailure
+from .errors import InvalidInput
 from .families import m6
-from .musearch import _phases_to_vectors, solve_phases
 
 __all__ = [
     "LemmaReport",
@@ -161,46 +163,26 @@ def _orthogonality_residuals(c1, c2, v):
     return float(abs(np.vdot(c1, v))), float(abs(np.vdot(c2, v)))
 
 
-def _orthogonality_defects(Cc, P):
-    """Real and imaginary parts of <c, v_n> for the rows c of C = conj(Cc),
-    with their Jacobian in the five phases of v_n."""
-    W = Cc * _phases_to_vectors(P)[:, None, :]      # W[n, c, k] = conj(c_k) v_k
-    G = W.sum(axis=2)
-    dW = W[:, :, 1:]                                # d<c, v>/dphi_k = i dW
-    return np.concatenate([G.real, G.imag], axis=1), np.concatenate([-dW.imag, dW.real], axis=1)
+_W = np.exp(-1j * np.pi / 3.0)
+_WITNESS = np.array([1.0, _W**2, 1.0, _W**2, -_W, -_W]) / SQRT6
 
 
-def third_column_witness(
-    s: complex,
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = 0,
-    starts: int = 200,
-    max_iters: int = 60,
-) -> ThirdColumnWitness:
-    """Search for a unimodular v/sqrt(6) orthogonal to c1 = flat and
-    c2 = (1, 1, -1, -1, s, -s)/sqrt(6).
+def third_column_witness(s: complex, tol: Tolerances = DEFAULT_TOL) -> ThirdColumnWitness:
+    """A unimodular v/sqrt(6) orthogonal to c1 = (1, ..., 1)/sqrt(6) and
+    c2 = (1, 1, -1, -1, s, -s)/sqrt(6), in closed form.
 
-    Five free phases (first entry pinned to 1/sqrt(6)); the four real
-    orthogonality residuals are driven to zero by the Levenberg-Marquardt
-    solver ``musearch.solve_phases``, with at most max_iters steps per
-    start.  The seeded starts run one at a time, in order, and the first
-    whose re-computed residuals pass residual_tol is returned: nearly every
-    start converges, so solving starts in batches only waits on the
-    slowest of each batch.  Raises SearchFailure once the start budget is
-    exhausted.
+    One vector serves every s: x = (1, w^2, 1, w^2, -w, -w) with
+    w = exp(-i pi/3), v = x/sqrt(6).  Two identities make it a witness:
+    6 <c1, v> = sum(x) = 2(1 - w + w^2) = 0, as w is a primitive sixth root
+    of unity; and 6 <c2, v> = (x1 + x2 - x3 - x4) + conj(s)(x5 - x6) = 0,
+    as x1 = x3, x2 = x4 and x5 = x6, whatever s is.  The residuals
+    |<c1, v>| and |<c2, v>| are re-computed by direct inner products with
+    the columns built from s.
     """
     s = complex(s)
     if abs(abs(s) - 1.0) > tol.eq_tol:
         raise InvalidInput("s must be unimodular")
-    C = np.array([[1.0] * 6, [1.0, 1.0, -1.0, -1.0, s, -s]], dtype=complex) / SQRT6
-    Cc = np.conj(C)
-
-    rng = np.random.default_rng(seed)
-    inits = rng.uniform(0.0, 2.0 * np.pi, size=(starts, 5))
-    for phi in inits:
-        P, _ = solve_phases(lambda Q: _orthogonality_defects(Cc, Q), phi[None], max_iters)
-        v = _phases_to_vectors(P[0])
-        r1, r2 = _orthogonality_residuals(C[0], C[1], v)
-        if r1 < tol.residual_tol and r2 < tol.residual_tol:
-            return ThirdColumnWitness(s=s, v=ColVec6(v), residuals=(r1, r2))
-    raise SearchFailure(f"no third-column witness for s={s} after {starts} starts")
+    c1 = np.ones(6, dtype=complex) / SQRT6
+    c2 = np.array([1.0, 1.0, -1.0, -1.0, s, -s]) / SQRT6
+    return ThirdColumnWitness(s=s, v=ColVec6(_WITNESS),
+                              residuals=_orthogonality_residuals(c1, c2, _WITNESS))

@@ -260,6 +260,49 @@ def test_analyze_reports(capsys, tmp_path, schemas, f6, report):
         assert "h2_submatrix_count" not in rep
 
 
+def _run_showing_warnings(*argv):
+    return subprocess.run([sys.executable, "-W", "always", "-m", "mub6.cli", *map(str, argv)],
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("modulus", [1e300, 1.5e308])
+def test_analyze_is_silent_on_overflowing_input(tmp_path, modulus):
+    """F6 with entries of a huge but finite modulus overflows inside the
+    realness, H2 and unitary-block tests.  analyze still exits 0 with the
+    same verdicts, and no RuntimeWarning reaches stderr even when every
+    warning is shown.  Only the first row and column stay exactly real at
+    this scale, so 11 entries count as real."""
+    p = tmp_path / "huge.json"
+    p.write_text(matrix_to_json(mub6.fourier_f6().entries * SQRT6 * modulus))
+    proc = _run_showing_warnings("analyze", "--in", p, "--report", "full")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rep = json.loads(proc.stdout)
+    assert rep["real_entry_count"] == 11 and rep["exceeds_bound"] is False
+    assert rep["real_3x2_raw"] == [] and rep["real_3x2_rephased"] == []
+    assert rep["h2_submatrix_count"] == 0 and rep["h2_reducible_partition"] is None
+    assert rep["unitary_3x3"] == []
+    assert rep["product_triple_found"] is True
+
+
+def test_normalize_is_silent_on_overflowing_input(tmp_path):
+    """Dephasing a matrix whose corner entry lies a few ulps below the
+    largest double overflows to non-finite entries, which end in exit 1
+    (a case hypothesis found); a lemma-form search that a loose --tol lets
+    run on huge F6 finds no form.  Neither prints a RuntimeWarning."""
+    A = np.ones((6, 6), dtype=complex)
+    A[0, 0] = 1.7976931348623151e308
+    A[3, 0] = A[5, 0] = A[0, 5] = 1j
+    p = tmp_path / "edge.json"
+    p.write_text(matrix_to_json(A))
+    proc = _run_showing_warnings("normalize", "--in", p)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "mub6: error: entries contains non-finite entries\n"
+    p.write_text(matrix_to_json(mub6.fourier_f6().entries * SQRT6 * 1e300))
+    proc = _run_showing_warnings("normalize", "--in", p, "--lemma-form", "--tol", "inf")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "NONE\n", "")
+
+
 # -------------------------------------------------------------------- refute
 
 def test_refute_json_schema_and_content(capsys, schemas):
