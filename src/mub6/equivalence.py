@@ -61,7 +61,7 @@ class TransformRecord:
             ph = np.asarray(getattr(self, name), dtype=complex)
             if ph.shape != (6,):
                 raise InvalidInput(f"{name} must have 6 entries")
-            if np.max(np.abs(np.abs(ph) - 1.0)) > 1e-9:
+            if not np.all(np.abs(np.abs(ph) - 1.0) <= 1e-9):    # a NaN phase fails too
                 raise InvalidInput(f"{name} must be unimodular")
             ph = ph.copy()
             ph.setflags(write=False)
@@ -111,9 +111,9 @@ def dephase(H, tol: Tolerances = DEFAULT_TOL):
         B = rph[:, None] * A
         cph = np.conj(B[0, :] / np.abs(B[0, :]))
         B = B * cph[None, :]
-    rec = TransformRecord((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), rph, cph)
-    label = H.label if isinstance(H, CMat6) else None
-    return CMat6(B, label), rec
+    # the matrix first: on overflow its finiteness error is the one reported
+    D = CMat6(B, H.label if isinstance(H, CMat6) else None)
+    return D, TransformRecord((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), rph, cph)
 
 
 @dataclass(frozen=True)

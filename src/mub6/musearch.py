@@ -10,10 +10,13 @@ residual.
 
 Converged starts are deduplicated greedily in phase space (angular distance
 with wraparound, compared against an array of the representatives kept so
-far), clustered into orthogonality 6-cliques, and each clique is certified
-as a basis making {I, H, B} pairwise mutually unbiased.  ``scan_m6`` sweeps
-the symmetric family and serializes rows to a CSV whose bytes are
-reproducible for a fixed seed.
+far).  ``extract_bases`` returns the orthonormal sextets among them,
+enumerated in index order, and ``verify_triple`` certifies each as a basis B
+making {I, H, B} pairwise mutually unbiased.  The enumeration requires
+eq_tol <= 1/6: below that bound seven unit vectors cannot be pairwise
+orthogonal in C^6 (their Gram matrix would be positive definite), so no
+orthogonality clique exceeds six.  ``scan_m6`` sweeps the symmetric family
+and serializes rows to a CSV whose bytes are reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "t,a_re,a_im,n_mu_vectors,n_bases,n_triples,max_residual,starts,seed,wall_time_s"
+_MAX_ITERS = 500     # Levenberg-Marquardt step cap per start in find_mu_vectors
 
 
 @dataclass(frozen=True)
@@ -69,15 +73,12 @@ class MUVector:
 @dataclass(frozen=True)
 class OptimConfig:
     starts: int = 2000
-    max_iters: int = 500
     seed: int = 0
     tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         if self.starts < 1:
             raise InvalidInput("starts must be >= 1")
-        if self.max_iters < 1:
-            raise InvalidInput("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def find_mu_vectors(H, cfg: OptimConfig = OptimConfig(), rng=None):
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     P0 = rng.uniform(0.0, 2.0 * np.pi, size=(cfg.starts, 5))
-    P, defect = solve_phases(lambda Q: _mu_defects(Hc, Q), P0, cfg.max_iters)
+    P, defect = solve_phases(lambda Q: _mu_defects(Hc, Q), P0, _MAX_ITERS)
     P = np.mod(P[defect < cfg.tol.residual_tol], 2.0 * np.pi)
     P = P[np.lexsort(P.T[::-1])]         # the order of Python's tuple sort
     out = []
@@ -211,50 +212,39 @@ def find_mu_vectors(H, cfg: OptimConfig = OptimConfig(), rng=None):
     return out
 
 
-def _maximal_cliques(adj):
-    """Bron-Kerbosch with pivoting; deterministic order on sorted vertices."""
-    cliques = []
-
-    def expand(R, P, X):
-        if not P and not X:
-            cliques.append(tuple(sorted(R)))
-            return
-        pivot = max(P | X, key=lambda u: (len(P & adj[u]), -u))
-        for v in sorted(P - adj[pivot]):
-            expand(R | {v}, P & adj[v], X & adj[v])
-            P = P - {v}
-            X = X | {v}
-
-    expand(set(), set(adj), set())
-    return cliques
-
-
 def extract_bases(vectors, tol: Tolerances = DEFAULT_TOL):
-    """All 6-cliques of the orthogonality graph on the given vectors,
-    re-verified pairwise, as sorted index tuples."""
-    n = len(vectors)
-    if n < 6:
+    """Every orthonormal sextet among the given vectors, enumerated in index
+    order: the 6-cliques of the graph |<u, v>| < eq_tol, each re-verified
+    pairwise, as ascending index tuples in lexicographic order.
+
+    Requires eq_tol <= 1/6 (else InvalidInput): seven unit vectors with
+    pairwise |<u, v>| < 1/6 would have a positive definite 7x7 Gram matrix
+    (Gershgorin), impossible in C^6, so no clique exceeds six and every
+    sextet found is linearly independent.
+    """
+    if not tol.eq_tol <= 1.0 / 6.0:
+        raise InvalidInput(f"eq_tol {tol.eq_tol!r} exceeds 1/6, so seven vectors "
+                           "could pass as pairwise orthogonal in C^6")
+    if len(vectors) < 6:
         return []
     V = np.stack([np.asarray(m.vector.entries) for m in vectors])
-    M = np.abs(np.conj(V) @ V.T)
-    adj = {i: {j for j in range(n) if j != i and M[i, j] < tol.eq_tol} for i in range(n)}
+    later = np.triu(np.abs(np.conj(V) @ V.T) < tol.eq_tol, 1)   # later[i, j]: j > i, orthogonal
 
-    found = set()
-    for clique in _maximal_cliques(adj):
-        if len(clique) < 6:
-            continue
-        for sub in combinations(clique, 6):
-            found.add(sub)
+    sextets = []
 
-    verified = []
-    for sub in sorted(found):
-        ok = all(
-            abs(np.vdot(vectors[i].vector.entries, vectors[j].vector.entries)) < tol.eq_tol
-            for i, j in combinations(sub, 2)
-        )
-        if ok:
-            verified.append(sub)
-    return verified
+    def extend(clique, candidates):
+        if len(clique) == 6:
+            sextets.append(clique)
+        elif len(clique) + np.count_nonzero(candidates) >= 6:    # else no sextet below
+            for k in np.flatnonzero(candidates):
+                extend(clique + (int(k),), candidates & later[k])
+
+    extend((), np.ones(len(V), dtype=bool))
+    return [
+        sub for sub in sextets
+        if all(abs(np.vdot(vectors[i].vector.entries, vectors[j].vector.entries)) < tol.eq_tol
+               for i, j in combinations(sub, 2))
+    ]
 
 
 def verify_triple(H, vectors, clique, tol: Tolerances = DEFAULT_TOL) -> bool:

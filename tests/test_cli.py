@@ -364,6 +364,24 @@ def test_scan_flags_inadmissible_rows(capsys, tmp_path):
         assert fields[3] == "-1" and fields[6] == "nan"
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_scan_refuses_tolerance_above_one_sixth(capsys, tmp_path, monkeypatch, via):
+    """At --tol 0.3 non-orthogonal vectors would pass as bases (52 on
+    m6(pi), where F6 has 16); the scan must fail instead of writing them."""
+    out = tmp_path / "loose.csv"
+    args = ["scan", "--family", "m6", "--t-from", "3.14159", "--t-to", "3.14159",
+            "--steps", "1", "--starts", "50", "--out", out]
+    if via == "flag":
+        args += ["--tol", "0.3"]
+    else:
+        monkeypatch.setenv("MUB6_TOL", "0.3")
+    code, msg, err = run(capsys, *args)
+    assert code == 1
+    assert msg == ""
+    assert len(err.splitlines()) == 1 and err.startswith("mub6: error:")
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- entry point
 
 def test_console_script_entry_point():

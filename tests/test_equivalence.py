@@ -29,6 +29,18 @@ def test_record_validates_permutations():
         TransformRecord((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), one[:5], one)
 
 
+@pytest.mark.parametrize("side", ["row_phases", "col_phases"])
+def test_record_rejects_nan_phases(side):
+    """NaN compares false against any bound, so the unimodularity test
+    must be phrased to fail on it."""
+    one = np.ones(6, dtype=complex)
+    bad = one.copy()
+    bad[3] = np.nan
+    phases = {"row_phases": one, "col_phases": one, side: bad}
+    with pytest.raises(InvalidInput):
+        TransformRecord((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), **phases)
+
+
 def test_identity_record_is_identity(f6):
     G = apply(f6, identity_record())
     assert np.array_equal(G.entries, f6.entries)

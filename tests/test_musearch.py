@@ -25,11 +25,9 @@ PI = np.pi
 
 
 def test_optim_config_validation():
-    OptimConfig(starts=1, max_iters=1)
+    OptimConfig(starts=1)
     with pytest.raises(InvalidInput):
         OptimConfig(starts=0)
-    with pytest.raises(InvalidInput):
-        OptimConfig(max_iters=0)
 
 
 def test_muvector_validation(f6):
@@ -177,6 +175,49 @@ def test_extract_bases_against_networkx(f6):
             for sub in combinations(sorted(clique), 6):
                 oracle.add(sub)
     assert set(extract_bases(vecs, cfg.tol)) == oracle
+
+
+def _ordered_clique_oracle(vecs, eq_tol):
+    """Sorted 6-subsets of networkx's maximal cliques of the graph
+    |<u, v>| < eq_tol."""
+    import networkx as nx
+    from itertools import combinations
+
+    V = np.stack([v.vector.entries for v in vecs])
+    M = np.abs(np.conj(V) @ V.T)
+    G = nx.Graph()
+    G.add_nodes_from(range(len(vecs)))
+    G.add_edges_from((i, j) for i in range(len(vecs)) for j in range(i + 1, len(vecs))
+                     if M[i, j] < eq_tol)
+    return sorted({sub for clique in nx.find_cliques(G) if len(clique) >= 6
+                   for sub in combinations(sorted(clique), 6)})
+
+
+@pytest.mark.parametrize("family, param, eq_tol, count", [
+    ("f6", None, 1e-9, 16),
+    ("b6", 2.0, 1e-9, 1),
+    ("m6", 1.634, 0.15, 10),
+    ("m6", 1.9 * PI, 0.15, 14),
+])
+def test_extract_bases_in_oracle_order(family, param, eq_tol, count):
+    """List equality with the sorted oracle, so the lexicographic order is
+    checked too; eq_tol = 0.15 makes the orthogonality graph denser."""
+    H = {"f6": lambda p: mub6.fourier_f6(), "b6": mub6.b6, "m6": mub6.m6}[family](param)
+    vecs = find_mu_vectors(H, OptimConfig(starts=2000, seed=0))
+    tol = mub6.Tolerances(eq_tol=eq_tol, cluster_tol=max(1e-6, eq_tol))
+    got = extract_bases(vecs, tol)
+    assert got == _ordered_clique_oracle(vecs, eq_tol)
+    assert len(got) == count
+
+
+def test_extract_bases_refuses_eq_tol_above_one_sixth(f6):
+    """Above 1/6 seven vectors can pass as pairwise orthogonal in C^6."""
+    vecs = find_mu_vectors(f6, OptimConfig(starts=2000, seed=0))
+    with pytest.raises(InvalidInput, match="1/6"):
+        extract_bases(vecs, mub6.Tolerances(eq_tol=0.3, cluster_tol=0.3))
+    with pytest.raises(InvalidInput):
+        extract_bases(vecs[:3], mub6.Tolerances(eq_tol=0.3, cluster_tol=0.3))
+    assert len(extract_bases(vecs, mub6.Tolerances(eq_tol=1 / 6, cluster_tol=1 / 6))) == 16
 
 
 def test_scan_rows_and_error_isolation():
