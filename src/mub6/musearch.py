@@ -9,14 +9,15 @@ start at once and drives each converging start to a machine-precision
 residual.
 
 Converged starts are deduplicated greedily in phase space (angular distance
-with wraparound, compared against an array of the representatives kept so
-far).  ``extract_bases`` returns the orthonormal sextets among them,
-enumerated in index order, and ``verify_triple`` certifies each as a basis B
-making {I, H, B} pairwise mutually unbiased.  The enumeration requires
-eq_tol <= 1/6: below that bound seven unit vectors cannot be pairwise
-orthogonal in C^6 (their Gram matrix would be positive definite), so no
-orthogonality clique exceeds six.  ``scan_m6`` sweeps the symmetric family
-and serializes rows to a CSV whose bytes are reproducible for a fixed seed.
+with wraparound; each kept representative drops its near-duplicates among
+the later starts in one array test).  ``extract_bases`` returns the
+orthonormal sextets among them, enumerated in index order, and
+``verify_triple`` certifies each as a basis B making {I, H, B} pairwise
+mutually unbiased.  The enumeration requires eq_tol <= 1/6: below that bound
+seven unit vectors cannot be pairwise orthogonal in C^6 (their Gram matrix
+would be positive definite), so no orthogonality clique exceeds six.
+``scan_m6`` sweeps the symmetric family and serializes rows to a CSV whose
+bytes are reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -181,14 +182,27 @@ def solve_phases(fun, P, max_iters):
 def _dedupe(P, cluster_tol):
     """Indices of greedy representatives: a row is kept unless its wrapped
     phase distance max_k |p_k - q_k| to a row kept before it is below
-    cluster_tol."""
-    kept = np.empty_like(P)
+    cluster_tol.
+
+    The loop runs once per kept row: keeping row i drops, in one vectorised
+    test, every later undecided row within cluster_tol of it; rows before i
+    are already decided, so this keeps the same set as testing each row
+    against all earlier representatives.  Candidates are first screened on
+    column 0 with the same elementwise expression, which the full test also
+    requires of column 0 bit for bit, so the screen is exact and the
+    five-column test runs only on the few rows that pass it.
+    """
+    undecided = np.ones(len(P), dtype=bool)
     idx = []
-    for i, p in enumerate(P):
-        d = np.mod(kept[:len(idx)] - p + np.pi, 2.0 * np.pi) - np.pi
-        if not np.all(np.abs(d) < cluster_tol, axis=1).any():
-            kept[len(idx)] = p
-            idx.append(i)
+    for i in range(len(P)):
+        if not undecided[i]:
+            continue
+        idx.append(i)
+        near = i + 1 + np.flatnonzero(undecided[i + 1:])
+        d0 = np.mod(P[i, 0] - P[near, 0] + np.pi, 2.0 * np.pi) - np.pi
+        near = near[np.abs(d0) < cluster_tol]
+        d = np.mod(P[i] - P[near] + np.pi, 2.0 * np.pi) - np.pi
+        undecided[near[np.all(np.abs(d) < cluster_tol, axis=1)]] = False
     return idx
 
 
@@ -212,6 +226,13 @@ def find_mu_vectors(H, cfg: OptimConfig = OptimConfig(), rng=None):
     return out
 
 
+def _require_sextet_tol(tol: Tolerances):
+    """Raise InvalidInput unless eq_tol <= 1/6, the bound extract_bases needs."""
+    if not tol.eq_tol <= 1.0 / 6.0:
+        raise InvalidInput(f"eq_tol {tol.eq_tol!r} exceeds 1/6, so seven vectors "
+                           "could pass as pairwise orthogonal in C^6")
+
+
 def extract_bases(vectors, tol: Tolerances = DEFAULT_TOL):
     """Every orthonormal sextet among the given vectors, enumerated in index
     order: the 6-cliques of the graph |<u, v>| < eq_tol, each re-verified
@@ -222,9 +243,7 @@ def extract_bases(vectors, tol: Tolerances = DEFAULT_TOL):
     (Gershgorin), impossible in C^6, so no clique exceeds six and every
     sextet found is linearly independent.
     """
-    if not tol.eq_tol <= 1.0 / 6.0:
-        raise InvalidInput(f"eq_tol {tol.eq_tol!r} exceeds 1/6, so seven vectors "
-                           "could pass as pairwise orthogonal in C^6")
+    _require_sextet_tol(tol)
     if len(vectors) < 6:
         return []
     V = np.stack([np.asarray(m.vector.entries) for m in vectors])
@@ -265,7 +284,9 @@ def scan_m6(t_values, cfg: OptimConfig = OptimConfig()):
     """Sweep the symmetric family, one ScanRow per t in input order.
     Inadmissible parameters are captured in the row, never aborting the
     sweep.  Each row draws from its own child of cfg.seed, so results do
-    not depend on how the grid is chunked."""
+    not depend on how the grid is chunked.  An eq_tol above 1/6 raises
+    InvalidInput before any point is searched."""
+    _require_sextet_tol(cfg.tol)
     ts = [float(t) for t in t_values]
     children = np.random.SeedSequence(cfg.seed).spawn(len(ts))
     rows = []

@@ -117,7 +117,7 @@ def test_vectors_reverify_independently(f6):
     for mv in find_mu_vectors(f6, cfg):
         assert residual_of(f6, mv.phases) < cfg.tol.residual_tol
         assert np.max(np.abs(np.abs(mv.vector.entries) * SQRT6 - 1.0)) < 1e-12
-        assert mv.phases == tuple(sorted(mv.phases)) or True  # phases are angles, no order
+        assert all(0.0 <= p <= 2 * PI for p in mv.phases)
 
 
 def test_dedupe_leaves_separated_representatives(f6):
@@ -208,6 +208,16 @@ def test_extract_bases_in_oracle_order(family, param, eq_tol, count):
     got = extract_bases(vecs, tol)
     assert got == _ordered_clique_oracle(vecs, eq_tol)
     assert len(got) == count
+
+
+def test_scan_refuses_eq_tol_above_one_sixth_before_searching(monkeypatch):
+    def no_search(*args, **kwargs):
+        pytest.fail("scan_m6 searched before refusing the tolerance")
+
+    monkeypatch.setattr(mub6.musearch, "find_mu_vectors", no_search)
+    cfg = OptimConfig(tol=mub6.Tolerances(eq_tol=0.3, cluster_tol=0.3))
+    with pytest.raises(InvalidInput, match="exceeds 1/6"):
+        scan_m6([PI], cfg)
 
 
 def test_extract_bases_refuses_eq_tol_above_one_sixth(f6):
@@ -350,7 +360,8 @@ def test_m6_count_saturates(t, count):
     assert len(find_mu_vectors(H, OptimConfig(starts=8000))) == count
 
 
-def test_dedupe_matches_reference_loop(m6_sample):
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 0.05, 1 / 6])
+def test_dedupe_matches_reference_loop(m6_sample, tol):
     """The array dedupe keeps exactly what the pairwise greedy loop keeps,
     on raw converged starts with many near-duplicates."""
     from mub6.musearch import _dedupe, _mu_defects, solve_phases
@@ -363,8 +374,15 @@ def test_dedupe_matches_reference_loop(m6_sample):
     # a pair that is close only across the 0 = 2pi wrap, and near-duplicates
     a, b = P[0].copy(), P[0].copy()
     a[0], b[0] = 1e-8, 2 * PI - 1e-8
-    P = np.concatenate([P, [a, b], P[:5] + 2e-7])
-    tol = OptimConfig().tol.cluster_tol
+    # a pair close only across the wrap in column 2, and a pair equal in
+    # column 0 (it passes the column-0 screen) but apart in column 3
+    c, e = P[1].copy(), P[2].copy()
+    c[4] = np.mod(c[4] + 2.5, 2 * PI)
+    e[4] = np.mod(e[4] + 2.0, 2 * PI)
+    d, f = c.copy(), e.copy()
+    c[2], d[2] = 1e-11, 2 * PI - 1e-11
+    f[3] = np.mod(f[3] + 1.0, 2 * PI)
+    P = np.concatenate([P, [a, b], P[:5] + 2e-7, [c, d, e, f]])
 
     def wrap_dist(p, q):
         d = np.mod(np.asarray(p) - np.asarray(q) + PI, 2 * PI) - PI
@@ -375,4 +393,7 @@ def test_dedupe_matches_reference_loop(m6_sample):
         if not any(wrap_dist(p, P[k]) < tol for k in kept):
             kept.append(i)
     assert _dedupe(P, tol) == kept
+    n = len(P)
+    assert n - 4 in kept and n - 3 not in kept     # the column-2 wrap pair
+    assert n - 2 in kept and n - 1 in kept         # screened in, then apart
     assert len(kept) < len(P)
