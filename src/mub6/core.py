@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,25 +42,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical policy shared by every predicate.
+    """Numerical policy shared by every predicate; eq_tol is its one setting.
 
     eq_tol        exactness tests (realness, orthogonality, pattern matching)
-    residual_tol  acceptance threshold for optimizer outputs
-    cluster_tol   deduplication radius for distinct numerical solutions
-    rank_tol      relative singular-value cutoff for rank decisions
+    residual_tol  fixed acceptance threshold for optimizer outputs
+    cluster_tol   deduplication radius of numerical solutions, max(1e-6, eq_tol)
+    rank_tol      fixed relative singular-value cutoff for rank decisions
     """
 
     eq_tol: float = 1e-9
-    residual_tol: float = 1e-8
-    cluster_tol: float = 1e-6
-    rank_tol: float = 1e-9
+    residual_tol: ClassVar[float] = 1e-8
+    rank_tol: ClassVar[float] = 1e-9
 
     def __post_init__(self):
-        for name in ("eq_tol", "residual_tol", "cluster_tol", "rank_tol"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidInput(f"{name} must be strictly positive")
-        if self.eq_tol > self.cluster_tol:
-            raise InvalidInput("eq_tol must not exceed cluster_tol")
+        if not self.eq_tol > 0.0:
+            raise InvalidInput("eq_tol must be strictly positive")
+
+    @property
+    def cluster_tol(self) -> float:
+        return max(1e-6, self.eq_tol)
 
 
 DEFAULT_TOL = Tolerances()
@@ -170,10 +171,9 @@ def mod_pi_sign(z, anchor, eq_tol):
 # JSON matrix format.  The contract is bit-exact: both parts of every entry
 # are serialized with 17 significant digits, which round-trips IEEE doubles.
 
-def matrix_to_json(M, label=None) -> str:
+def matrix_to_json(M) -> str:
     A = as_matrix(M)
-    if label is None and isinstance(M, CMat6):
-        label = M.label
+    label = M.label if isinstance(M, CMat6) else None
     rows = []
     for i in range(6):
         cells = ", ".join(

@@ -80,6 +80,8 @@ class OptimConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise InvalidInput("starts must be >= 1")
+        if not self.seed >= 0:
+            raise InvalidInput("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -145,20 +147,19 @@ def _normal_equations(r, J):
     return A.transpose(0, 2, 1) @ A
 
 
-def solve_phases(fun, P, max_iters):
-    """Batched Levenberg-Marquardt over rows of five phases.
-
-    fun maps (n, 5) phases to real residuals r (n, m) and their Jacobian
-    J (n, m, 5).  Every start carries its own damping lam, starting at 0.1:
-    a step solves (J^T J + lam I) delta = -J^T r, is kept only if it lowers
-    |r|, and lam shrinks by 3 (down to 1e-12) on success and grows by 10 on
-    failure.  A start stops once |r| < 1e-13, once lam exceeds 1e10, or
-    after max_iters steps.  Returns the final phases and each start's |r|.
+def solve_phases(Hc, P, max_iters):
+    """Batched Levenberg-Marquardt over rows P of five phases, driving the
+    defects r = _mu_defects(Hc, P) to zero; Hc is conj(H.entries).  Every
+    start carries its own damping lam, starting at 0.1: a step solves
+    (J^T J + lam I) delta = -J^T r, is kept only if it lowers |r|, and lam
+    shrinks by 3 (down to 1e-12) on success and grows by 10 on failure.  A
+    start stops once |r| < 1e-13, once lam exceeds 1e10, or after max_iters
+    steps.  Returns the final phases and each start's |r|.
     """
     P = np.array(P, dtype=float)
     out, cost = P.copy(), np.empty(len(P))
     idx = np.arange(len(P))
-    M = _normal_equations(*fun(P))
+    M = _normal_equations(*_mu_defects(Hc, P))
     lam = np.full(len(P), 0.1)
     for _ in range(max_iters):
         stop = (M[:, 5, 5] < 1e-26) | (lam > 1e10)
@@ -170,7 +171,7 @@ def solve_phases(fun, P, max_iters):
                 break
         step = np.linalg.solve(M[:, :5, :5] + lam[:, None, None] * np.eye(5), M[:, :5, 5:])
         trial = P - step[:, :, 0]
-        Mt = _normal_equations(*fun(trial))
+        Mt = _normal_equations(*_mu_defects(Hc, trial))
         ok = Mt[:, 5, 5] < M[:, 5, 5]
         np.copyto(P, trial, where=ok[:, None])
         np.copyto(M, Mt, where=ok[:, None, None])
@@ -211,11 +212,10 @@ def find_mu_vectors(H, cfg: OptimConfig = OptimConfig(), rng=None):
     their phase tuples.  An empty list is a legitimate outcome of an
     insufficient start budget, not an error."""
     A = as_matrix(H)
-    Hc = np.conj(A)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     P0 = rng.uniform(0.0, 2.0 * np.pi, size=(cfg.starts, 5))
-    P, defect = solve_phases(lambda Q: _mu_defects(Hc, Q), P0, _MAX_ITERS)
+    P, defect = solve_phases(np.conj(A), P0, _MAX_ITERS)
     P = np.mod(P[defect < cfg.tol.residual_tol], 2.0 * np.pi)
     P = P[np.lexsort(P.T[::-1])]         # the order of Python's tuple sort
     out = []

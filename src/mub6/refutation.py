@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, SQRT6, ColVec6, CMat6, Tolerances, is_hadamard,
-                   modulus_residual, unitarity_residual)
+from .core import (DEFAULT_TOL, SQRT6, ColVec6, CMat6, Tolerances, modulus_residual,
+                   unitarity_residual)
 from .equivalence import TransformRecord, apply, split_tail
 from .errors import InvalidInput
 from .families import m6
@@ -96,7 +96,7 @@ def run_counterexample(t: float, tol: Tolerances = DEFAULT_TOL) -> LemmaReport:
     A = M.entries
 
     hadamard_residual = max(unitarity_residual(M), modulus_residual(M))
-    is_hadamard_ok = is_hadamard(M, tol)
+    is_hadamard_ok = hadamard_residual < tol.eq_tol
 
     eq = tol.eq_tol
     border = np.concatenate([A[0, :], A[:, 0]]) * SQRT6
@@ -144,7 +144,7 @@ def verify_tail_structure(c2_tail, tol: Tolerances = DEFAULT_TOL):
     if z.shape != (3,):
         raise InvalidInput("tail must consist of exactly three values")
     eq = tol.eq_tol
-    if np.max(np.abs(np.abs(z) - 1.0)) > eq:
+    if not np.max(np.abs(np.abs(z) - 1.0)) <= eq:
         raise InvalidInput("tail values must be unimodular")
     if abs(np.sum(z) + 1.0) > eq:
         return None
@@ -180,7 +180,7 @@ def third_column_witness(s: complex, tol: Tolerances = DEFAULT_TOL) -> ThirdColu
     the columns built from s.
     """
     s = complex(s)
-    if abs(abs(s) - 1.0) > tol.eq_tol:
+    if not abs(abs(s) - 1.0) <= tol.eq_tol:
         raise InvalidInput("s must be unimodular")
     c1 = np.ones(6, dtype=complex) / SQRT6
     c2 = np.array([1.0, 1.0, -1.0, -1.0, s, -s]) / SQRT6

@@ -324,7 +324,7 @@ def test_refute_stdout_deterministic(capsys):
 
 
 def test_refute_text_audit_lines(capsys):
-    code, out, _ = run(capsys, "refute", "--t-deg", "180", "--text")
+    code, out, _ = run(capsys, "refute", "--t-deg", "180")
     assert code == 0
     assert "hadamard:" in out and "PASS" in out
     assert "verdict: LEMMA_CLAIM_REFUTED" in out
@@ -379,6 +379,38 @@ def test_scan_refuses_tolerance_above_one_sixth(capsys, tmp_path, monkeypatch, v
     assert code == 1
     assert msg == ""
     assert len(err.splitlines()) == 1 and err.startswith("mub6: error:")
+    assert not out.exists()
+
+
+def test_scan_refuses_negative_seed(capsys, tmp_path):
+    out = tmp_path / "seeded.csv"
+    code, msg, err = run(capsys, "scan", "--family", "m6", "--t-from", "3.14", "--t-to", "3.14",
+                         "--steps", "1", "--starts", "10", "--seed", "-1", "--out", out)
+    assert code == 1
+    assert msg == ""
+    assert err == "mub6: error: seed must be >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["families", "show", "--family", "f6", "--seed", "1"],
+    ["check", "--in", "{path}", "--seed", "1"],
+    ["normalize", "--in", "{path}", "--seed", "1"],
+    ["analyze", "--in", "{path}", "--seed", "1"],
+    ["refute", "--t", "3.14", "--seed", "1"],
+    ["scan", "--family", "m6", "--t-from", "3.14", "--t-to", "3.14", "--steps", "1",
+     "--starts", "10", "--out", "{out}", "--json"],
+    ["refute", "--t", "3.14", "--text"],
+], ids=["show-seed", "check-seed", "normalize-seed", "analyze-seed", "refute-seed",
+        "scan-json", "refute-text"])
+def test_unhonoured_flags_are_usage_errors(capsys, tmp_path, argv):
+    """Only scan is seeded, scan writes CSV, and text is refute's default."""
+    path, out = tmp_path / "f6.json", tmp_path / "scan.csv"
+    path.write_text(mub6.matrix_to_json(mub6.fourier_f6()))
+    code, msg, err = run(capsys, *(a.format(path=path, out=out) for a in argv))
+    assert code == 1
+    assert msg == ""
+    assert "unrecognized arguments" in err
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,9 +33,11 @@ def test_tolerances_validation():
     with pytest.raises(InvalidInput):
         Tolerances(eq_tol=-1e-9)
     with pytest.raises(InvalidInput):
-        Tolerances(eq_tol=1e-3, cluster_tol=1e-6)
-    # eq_tol may equal cluster_tol
-    Tolerances(eq_tol=1e-6, cluster_tol=1e-6)
+        Tolerances(eq_tol=float("nan"))
+    # eq_tol is the one field; the dedupe radius follows from it
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["eq_tol"]
+    for eq_tol in (1e-9, 1e-6, 0.15, 1 / 6):
+        assert Tolerances(eq_tol=eq_tol).cluster_tol == max(1e-6, eq_tol)
 
 
 def test_cmat6_shape_and_immutability():

@@ -28,6 +28,9 @@ def test_optim_config_validation():
     OptimConfig(starts=1)
     with pytest.raises(InvalidInput):
         OptimConfig(starts=0)
+    OptimConfig(seed=0)
+    with pytest.raises(InvalidInput, match="seed"):
+        OptimConfig(seed=-1)
 
 
 def test_muvector_validation(f6):
@@ -204,7 +207,7 @@ def test_extract_bases_in_oracle_order(family, param, eq_tol, count):
     checked too; eq_tol = 0.15 makes the orthogonality graph denser."""
     H = {"f6": lambda p: mub6.fourier_f6(), "b6": mub6.b6, "m6": mub6.m6}[family](param)
     vecs = find_mu_vectors(H, OptimConfig(starts=2000, seed=0))
-    tol = mub6.Tolerances(eq_tol=eq_tol, cluster_tol=max(1e-6, eq_tol))
+    tol = mub6.Tolerances(eq_tol=eq_tol)
     got = extract_bases(vecs, tol)
     assert got == _ordered_clique_oracle(vecs, eq_tol)
     assert len(got) == count
@@ -215,7 +218,7 @@ def test_scan_refuses_eq_tol_above_one_sixth_before_searching(monkeypatch):
         pytest.fail("scan_m6 searched before refusing the tolerance")
 
     monkeypatch.setattr(mub6.musearch, "find_mu_vectors", no_search)
-    cfg = OptimConfig(tol=mub6.Tolerances(eq_tol=0.3, cluster_tol=0.3))
+    cfg = OptimConfig(tol=mub6.Tolerances(eq_tol=0.3))
     with pytest.raises(InvalidInput, match="exceeds 1/6"):
         scan_m6([PI], cfg)
 
@@ -224,10 +227,10 @@ def test_extract_bases_refuses_eq_tol_above_one_sixth(f6):
     """Above 1/6 seven vectors can pass as pairwise orthogonal in C^6."""
     vecs = find_mu_vectors(f6, OptimConfig(starts=2000, seed=0))
     with pytest.raises(InvalidInput, match="1/6"):
-        extract_bases(vecs, mub6.Tolerances(eq_tol=0.3, cluster_tol=0.3))
+        extract_bases(vecs, mub6.Tolerances(eq_tol=0.3))
     with pytest.raises(InvalidInput):
-        extract_bases(vecs[:3], mub6.Tolerances(eq_tol=0.3, cluster_tol=0.3))
-    assert len(extract_bases(vecs, mub6.Tolerances(eq_tol=1 / 6, cluster_tol=1 / 6))) == 16
+        extract_bases(vecs[:3], mub6.Tolerances(eq_tol=0.3))
+    assert len(extract_bases(vecs, mub6.Tolerances(eq_tol=1 / 6))) == 16
 
 
 def test_scan_rows_and_error_isolation():
@@ -332,7 +335,7 @@ def test_solver_defect_is_residual_norm(m6_sample):
     Hc = np.conj(m6_sample.entries)
     P0 = np.random.default_rng(8).uniform(0, 2 * PI, (50, 5))
     for iters in (1, 5, 500):
-        P, defect = solve_phases(lambda Q: _mu_defects(Hc, Q), P0, iters)
+        P, defect = solve_phases(Hc, P0, iters)
         G, _ = _mu_defects(Hc, P)
         assert np.allclose(defect, np.linalg.norm(G, axis=1), rtol=1e-9, atol=1e-15)
     assert np.all(defect < 1e-13)
@@ -364,11 +367,11 @@ def test_m6_count_saturates(t, count):
 def test_dedupe_matches_reference_loop(m6_sample, tol):
     """The array dedupe keeps exactly what the pairwise greedy loop keeps,
     on raw converged starts with many near-duplicates."""
-    from mub6.musearch import _dedupe, _mu_defects, solve_phases
+    from mub6.musearch import _dedupe, solve_phases
 
     Hc = np.conj(m6_sample.entries)
     P0 = np.random.default_rng(12).uniform(0, 2 * PI, (600, 5))
-    P, defect = solve_phases(lambda Q: _mu_defects(Hc, Q), P0, 500)
+    P, defect = solve_phases(Hc, P0, 500)
     P = np.mod(P[defect < 1e-8], 2 * PI)
     P = P[np.lexsort(P.T[::-1])]
     # a pair that is close only across the 0 = 2pi wrap, and near-duplicates

@@ -82,6 +82,9 @@ def test_tail_structure_rejects_non_unimodular():
         verify_tail_structure((0.5, -1.0, 0.5))
     with pytest.raises(InvalidInput):
         verify_tail_structure((1.0, 1.0))
+    for bad in (complex("nan"), complex(1.0, float("nan")), complex("inf")):
+        with pytest.raises(InvalidInput, match="unimodular"):
+            verify_tail_structure((-1.0, bad, 1.0))
 
 
 def test_tail_structure_sum_premise():
@@ -153,6 +156,9 @@ def test_witness_exists_for_assorted_s(s):
 def test_witness_rejects_non_unimodular_s():
     with pytest.raises(InvalidInput):
         third_column_witness(0.5)
+    for s in (complex("nan"), complex(1.0, float("nan")), complex("inf")):
+        with pytest.raises(InvalidInput, match="unimodular"):
+            third_column_witness(s)
 
 
 def test_witness_identities_hold_for_every_s():
