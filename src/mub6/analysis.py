@@ -174,16 +174,16 @@ def find_unitary_submatrices(H, k: int, tol: Tolerances = DEFAULT_TOL):
             for r, c_ in zip(*np.nonzero(ok))]
 
 
-def submatrix_rank(H, loc: SubmatrixLoc, tol: Tolerances = DEFAULT_TOL) -> int:
+def submatrix_rank(H, loc: SubmatrixLoc) -> int:
     """Numerical rank of the selected block via singular values."""
     S = loc.take(as_matrix(H))
     sv = np.linalg.svd(S, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > tol.rank_tol * sv[0]))
+    return int(np.sum(sv > Tolerances.rank_tol * sv[0]))
 
 
-def is_product_vector(v, factorization: str, tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_product_vector(v, factorization: str) -> bool:
     """Rank-one test of the vector reshaped row-major to 2x3 or 3x2."""
     if factorization == "2x3":
         M = as_vector(v).reshape(2, 3)
@@ -192,7 +192,7 @@ def is_product_vector(v, factorization: str, tol: Tolerances = DEFAULT_TOL) -> b
     else:
         raise InvalidInput("factorization must be '2x3' or '3x2'")
     sv = np.linalg.svd(M, compute_uv=False)
-    return bool(sv[1] < tol.rank_tol * sv[0])
+    return bool(sv[1] < Tolerances.rank_tol * sv[0])
 
 
 # One representative per grid class (see product_triple_exists): the row
@@ -201,7 +201,7 @@ _GRIDS = np.array([p for p in permutations(range(6))
                    if p[0] == 0 and p[1] < p[2]]).reshape(-1, 2, 3)
 
 
-def product_triple_exists(H, tol: Tolerances = DEFAULT_TOL) -> bool:
+def product_triple_exists(H) -> bool:
     """True when some row permutation and factorization make three of the
     six columns simultaneously product vectors.
 
@@ -219,7 +219,7 @@ def product_triple_exists(H, tol: Tolerances = DEFAULT_TOL) -> bool:
     """
     blocks = np.transpose(as_matrix(H)[_GRIDS], (0, 3, 1, 2))    # (grid, col, 2, 3)
     sv = np.linalg.svd(blocks, compute_uv=False)
-    isprod = sv[..., 1] < tol.rank_tol * sv[..., 0]
+    isprod = sv[..., 1] < Tolerances.rank_tol * sv[..., 0]
     return bool((isprod.sum(axis=1) >= 3).any())
 
 
@@ -261,5 +261,5 @@ def analyze(H, tol: Tolerances = DEFAULT_TOL, sections=ALL_SECTIONS) -> Analysis
     if "unitary" in sections:
         fields["unitary_3x3"] = find_unitary_submatrices(H, 3, tol)
     if "product" in sections:
-        fields["product_triple_found"] = product_triple_exists(H, tol)
+        fields["product_triple_found"] = product_triple_exists(H)
     return AnalysisReport(**fields)

@@ -4,9 +4,9 @@ Subcommands: families show, check, normalize, analyze, refute, scan.
 Exit codes: 0 success, 1 usage or domain errors, 2 failed verdict
 (refute: claim not refuted; check: not a Hadamard matrix), 3 I/O or
 parse errors.  All machine output is JSON against the schemas shipped
-under schemas/; text output renders the same data.  --tol sets eq_tol,
-and wins over MUB6_TOL, which overrides its default; every subcommand but
-scan, which writes CSV, takes --json; only scan, the seeded one, --seed.
+under schemas/; text output renders the same data.  --tol sets eq_tol
+(families show takes none) and wins over MUB6_TOL, which overrides its
+default; scan, which writes CSV, takes no --json; only scan takes --seed.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def build_parser() -> _Parser:
     tol_flag = argparse.ArgumentParser(add_help=False)
     tol_flag.add_argument("--tol", type=float, default=None,
                           help="equality tolerance eq_tol (default 1e-9, or MUB6_TOL)")
-    common = argparse.ArgumentParser(add_help=False, parents=[tol_flag])
-    common.add_argument("--json", action="store_true", help="emit JSON output")
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="emit JSON output")
 
     parser = _Parser(prog="mub6",
                      description="order-6 complex Hadamard matrices: families, "
@@ -86,7 +86,7 @@ def build_parser() -> _Parser:
 
     fam = sub.add_parser("families", help="built-in Hadamard matrix families")
     famsub = fam.add_subparsers(dest="families_command", required=True, metavar="action")
-    show = famsub.add_parser("show", parents=[common],
+    show = famsub.add_parser("show", parents=[json_flag],
                              help="print one family member as JSON")
     show.add_argument("--family", required=True, choices=("m6", "f6", "b6", "s6"))
     show.add_argument("--t", type=float, help="m6 parameter, radians")
@@ -95,23 +95,23 @@ def build_parser() -> _Parser:
     show.add_argument("--x2", type=float, default=0.0, help="f6 second phase")
     show.add_argument("--theta", type=float, help="b6 parameter, radians")
 
-    check = sub.add_parser("check", parents=[common],
+    check = sub.add_parser("check", parents=[tol_flag, json_flag],
                            help="verify a JSON matrix is Hadamard / MU to the standard basis")
     check.add_argument("--in", dest="path", required=True, metavar="JSON")
 
-    norm = sub.add_parser("normalize", parents=[common],
+    norm = sub.add_parser("normalize", parents=[tol_flag, json_flag],
                           help="dephase a matrix or put it in lemma form")
     norm.add_argument("--in", dest="path", required=True, metavar="JSON")
     norm.add_argument("--lemma-form", dest="lemma_form", action="store_true",
                       help="search for the normalized shape with a real upper 3x2 block")
 
-    ana = sub.add_parser("analyze", parents=[common],
+    ana = sub.add_parser("analyze", parents=[tol_flag, json_flag],
                          help="structural measurements (real entries, 2x2 Hadamard "
                               "submatrices, product columns)")
     ana.add_argument("--in", dest="path", required=True, metavar="JSON")
     ana.add_argument("--report", choices=("full", "real", "h2", "product"), default="full")
 
-    ref = sub.add_parser("refute", parents=[common],
+    ref = sub.add_parser("refute", parents=[tol_flag, json_flag],
                          help="run the third-column counterexample pipeline on m6(t)")
     ref.add_argument("--t", type=float, help="family parameter, radians")
     ref.add_argument("--t-deg", type=float, dest="t_deg", help="family parameter, degrees")
@@ -164,15 +164,14 @@ def _resolve_t(parser, args) -> float:
 
 
 def _cmd_families_show(parser, args) -> int:
-    tol = _tolerances(args)
     if args.family == "m6":
-        H = m6(_resolve_t(parser, args), tol)
+        H = m6(_resolve_t(parser, args))
     elif args.family == "f6":
         H = fourier_f6(args.x1, args.x2)
     elif args.family == "b6":
         if args.theta is None:
             parser.error("--theta is required for b6")
-        H = b6(args.theta, tol)
+        H = b6(args.theta)
     else:
         H = s6()
     print(matrix_to_json(H))
@@ -213,7 +212,7 @@ def _cmd_normalize(parser, args) -> int:
     tol = _tolerances(args)
     H = _load_matrix(args.path)
     if not args.lemma_form:
-        D, record = dephase(H, tol)
+        D, record = dephase(H)
         print(matrix_to_json(D))
         return 0
     form = to_lemma_form(H, tol)

@@ -44,7 +44,7 @@ __all__ = [
 class Tolerances:
     """Numerical policy shared by every predicate; eq_tol is its one setting.
 
-    eq_tol        exactness tests (realness, orthogonality, pattern matching)
+    eq_tol        exactness tests (realness, orthogonality, patterns), in (0, 1)
     residual_tol  fixed acceptance threshold for optimizer outputs
     cluster_tol   deduplication radius of numerical solutions, max(1e-6, eq_tol)
     rank_tol      fixed relative singular-value cutoff for rank decisions
@@ -55,8 +55,9 @@ class Tolerances:
     rank_tol: ClassVar[float] = 1e-9
 
     def __post_init__(self):
-        if not self.eq_tol > 0.0:
-            raise InvalidInput("eq_tol must be strictly positive")
+        # below 1 a zero entry fails the modulus test; NaN fails this form too
+        if not 0.0 < self.eq_tol < 1.0:
+            raise InvalidInput("eq_tol must lie strictly between 0 and 1")
 
     @property
     def cluster_tol(self) -> float:

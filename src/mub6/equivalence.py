@@ -95,7 +95,7 @@ def apply(H, r: TransformRecord) -> CMat6:
     return CMat6(B, label)
 
 
-def dephase(H, tol: Tolerances = DEFAULT_TOL):
+def dephase(H):
     """Rephase so the first row and column are positive real.
 
     Returns (matrix, record).  The permutation parts of the record are

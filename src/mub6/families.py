@@ -5,8 +5,8 @@ fourier_f6     the two-parameter Fourier family (dephased form)
 b6(theta)      the self-adjoint one-parameter family
 s6()           the isolated spectral matrix built from cube roots of unity
 
-Every constructor returns a dephased CMat6 and verifies the Hadamard
-property before returning; a failed verification is a bug, not a value.
+Every constructor returns a dephased CMat6 and verifies it Hadamard at the
+default tolerance; a failed verification is a bug, not a value.
 """
 
 from __future__ import annotations
@@ -57,18 +57,17 @@ def is_admissible_t(t: float) -> bool:
     return (_HALF_PI < t <= np.pi) or (1.5 * np.pi < t <= _TWO_PI)
 
 
-def _pair_from_sum(S: complex, sigma: int):
+def _pair_from_sum(S: complex):
     """The two unimodular numbers x, y with x + y = S and |x| = |y| = 1.
 
     Writing x, y = S/2 +- u, the offset u must be perpendicular to S with
-    |S/2|^2 + |u|^2 = 1, so u = sigma * i * (S/|S|) * sqrt(1 - |S/2|^2).
-    sigma = +-1 selects which root is listed first.
+    |S/2|^2 + |u|^2 = 1, so u = i * (S/|S|) * sqrt(1 - |S/2|^2).
     """
     half = S / 2.0
     mag2 = 1.0 - abs(half) ** 2
     if mag2 < -1e-12:
         raise SolveError(f"no unimodular pair sums to {S}")
-    u = sigma * 1j * (S / abs(S)) * np.sqrt(max(mag2, 0.0))
+    u = 1j * (S / abs(S)) * np.sqrt(max(mag2, 0.0))
     return half + u, half - u
 
 
@@ -91,9 +90,9 @@ def solve_m6_entries(a: complex, tol: Tolerances = DEFAULT_TOL):
     if abs(a - 1.0) <= tol.eq_tol:
         raise DomainError("a = 1 is an excluded parameter of the family")
     aa = a * a
-    b, c = _pair_from_sum((aa - 2.0 * a - 1.0) / 2.0, +1)
-    d, e = _pair_from_sum(-(1.0 + aa) / 2.0, +1)
-    f, g = _pair_from_sum((aa + 2.0 * a - 1.0) / 2.0, +1)
+    b, c = _pair_from_sum((aa - 2.0 * a - 1.0) / 2.0)
+    d, e = _pair_from_sum(-(1.0 + aa) / 2.0)
+    f, g = _pair_from_sum((aa + 2.0 * a - 1.0) / 2.0)
     H = _assemble_m6(a, b, c, d, e, f, g)
     res = unitarity_residual(H)
     if res >= tol.residual_tol:
@@ -177,7 +176,7 @@ B6_THETA_MIN = float(np.arccos((np.sqrt(3.0) - 1.0) / 2.0))
 B6_THETA_MAX = _TWO_PI - B6_THETA_MIN
 
 
-def b6(theta: float, tol: Tolerances = DEFAULT_TOL) -> CMat6:
+def b6(theta: float) -> CMat6:
     """Self-adjoint family member at angle theta within the admissible arc."""
     if not (B6_THETA_MIN <= theta <= B6_THETA_MAX):
         raise DomainError(
@@ -203,7 +202,7 @@ def b6(theta: float, tol: Tolerances = DEFAULT_TOL) -> CMat6:
         ],
         dtype=complex,
     ) / SQRT6
-    return _checked(CMat6(H, label=f"b6(theta={theta!r})"), tol)
+    return _checked(CMat6(H, label=f"b6(theta={theta!r})"))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import DEFAULT_TOL, SQRT6, ColVec6, Tolerances, as_matrix, modulus_residual
-from .errors import DomainError, InvalidInput, SolveError
+from .errors import DomainError, InvalidInput
 from .families import m6
 
 __all__ = [
@@ -282,8 +282,8 @@ def verify_triple(H, vectors, clique, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def scan_m6(t_values, cfg: OptimConfig = OptimConfig()):
     """Sweep the symmetric family, one ScanRow per t in input order.
-    Inadmissible parameters are captured in the row, never aborting the
-    sweep.  Each row draws from its own child of cfg.seed, so results do
+    Inadmissible parameters (DomainError) are captured in the row, never
+    aborting the sweep.  Each row draws from its own child of cfg.seed, so results do
     not depend on how the grid is chunked.  An eq_tol above 1/6 raises
     InvalidInput before any point is searched."""
     _require_sextet_tol(cfg.tol)
@@ -293,7 +293,7 @@ def scan_m6(t_values, cfg: OptimConfig = OptimConfig()):
     for idx, t in enumerate(ts):
         start = time.perf_counter()
         try:
-            H = m6(float(t), cfg.tol)
+            H = m6(float(t))
             rng = np.random.default_rng(children[idx])
             vecs = find_mu_vectors(H, cfg, rng=rng)
             bases = extract_bases(vecs, cfg.tol)
@@ -304,7 +304,7 @@ def scan_m6(t_values, cfg: OptimConfig = OptimConfig()):
                 n_triples=n_triples, max_residual=max_res,
                 wall_time=time.perf_counter() - start,
             ))
-        except (DomainError, SolveError) as exc:
+        except DomainError as exc:
             rows.append(ScanRow(
                 t=float(t), n_mu_vectors=-1, n_bases=-1, n_triples=-1,
                 max_residual=float("nan"), wall_time=time.perf_counter() - start,

@@ -82,7 +82,7 @@ def run_counterexample(t: float, tol: Tolerances = DEFAULT_TOL) -> LemmaReport:
     then rephase columns 3..6 so the new first row is constant.  All of it
     is carried by one replayable TransformRecord.
     """
-    H = m6(t, tol)
+    H = m6(t)
     U = H.entries * SQRT6
     a = U[1, 2]
     row3_tail = U[2, 2:6]  # entries b, c, d, e of the third row

@@ -184,6 +184,19 @@ def test_bad_env_tolerance_exits_1(capsys, perturbed, monkeypatch):
     assert "MUB6_TOL" in err
 
 
+@pytest.mark.parametrize("tol", ["2", "inf"])
+@pytest.mark.parametrize("entries", [np.eye(6), np.zeros((6, 6))], ids=["identity", "zero"])
+def test_check_refuses_tolerance_of_one_or_more(capsys, tmp_path, tol, entries):
+    """At eq_tol >= 1 the modulus test passes zero entries, so the identity
+    and the zero matrix would read as Hadamard; the tolerance is refused."""
+    p = tmp_path / "m.json"
+    p.write_text(matrix_to_json(entries))
+    code, msg, err = run(capsys, "check", "--in", p, "--tol", tol)
+    assert code == 1
+    assert msg == ""
+    assert len(err.splitlines()) == 1 and err.startswith("mub6: error:")
+
+
 # ------------------------------------------------------- normalize, analyze
 
 def test_normalize_dephases(capsys, tmp_path, schemas):
@@ -288,8 +301,9 @@ def test_analyze_is_silent_on_overflowing_input(tmp_path, modulus):
 def test_normalize_is_silent_on_overflowing_input(tmp_path):
     """Dephasing a matrix whose corner entry lies a few ulps below the
     largest double overflows to non-finite entries, which end in exit 1
-    (a case hypothesis found); a lemma-form search that a loose --tol lets
-    run on huge F6 finds no form.  Neither prints a RuntimeWarning."""
+    (a case hypothesis found).  A tolerance of 1 or more, which once let a
+    lemma-form search run on huge F6, is refused with one error line.
+    Neither prints a RuntimeWarning."""
     A = np.ones((6, 6), dtype=complex)
     A[0, 0] = 1.7976931348623151e308
     A[3, 0] = A[5, 0] = A[0, 5] = 1j
@@ -300,7 +314,8 @@ def test_normalize_is_silent_on_overflowing_input(tmp_path):
     assert proc.stderr == "mub6: error: entries contains non-finite entries\n"
     p.write_text(matrix_to_json(mub6.fourier_f6().entries * SQRT6 * 1e300))
     proc = _run_showing_warnings("normalize", "--in", p, "--lemma-form", "--tol", "inf")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "NONE\n", "")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "mub6: error: eq_tol must lie strictly between 0 and 1\n"
 
 
 # -------------------------------------------------------------------- refute
@@ -364,6 +379,24 @@ def test_scan_flags_inadmissible_rows(capsys, tmp_path):
         assert fields[3] == "-1" and fields[6] == "nan"
 
 
+@pytest.mark.parametrize("t_from, t_to, steps, tol", [
+    (1.7, 3.1, 5, "3e-16"), (1.7, 3.1, 5, "1e-16"), (6.18, 6.25, 3, "0.1"),
+])
+def test_scan_tolerance_does_not_flag_admissible_points(capsys, tmp_path, t_from, t_to,
+                                                        steps, tol):
+    """Each m6(t) is checked at the default tolerance: a tight --tol once
+    failed its Hadamard check and a loose one read a = e^{it} near 1 as the
+    excluded a = 1, and either wrote admissible points as flagged rows."""
+    out = tmp_path / "scan.csv"
+    code, msg, _ = run(capsys, "scan", "--family", "m6", "--t-from", t_from, "--t-to", t_to,
+                       "--steps", steps, "--starts", "50", "--tol", tol, "--out", out)
+    assert code == 0
+    assert "flagged" not in msg
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == steps
+    assert all(int(r[3]) > 0 for r in rows)
+
+
 @pytest.mark.parametrize("via", ["flag", "env"])
 def test_scan_refuses_tolerance_above_one_sixth(capsys, tmp_path, monkeypatch, via):
     """At --tol 0.3 non-orthogonal vectors would pass as bases (52 on
@@ -401,10 +434,12 @@ def test_scan_refuses_negative_seed(capsys, tmp_path):
     ["scan", "--family", "m6", "--t-from", "3.14", "--t-to", "3.14", "--steps", "1",
      "--starts", "10", "--out", "{out}", "--json"],
     ["refute", "--t", "3.14", "--text"],
+    ["families", "show", "--family", "f6", "--tol", "1e-9"],
 ], ids=["show-seed", "check-seed", "normalize-seed", "analyze-seed", "refute-seed",
-        "scan-json", "refute-text"])
+        "scan-json", "refute-text", "show-tol"])
 def test_unhonoured_flags_are_usage_errors(capsys, tmp_path, argv):
-    """Only scan is seeded, scan writes CSV, and text is refute's default."""
+    """Only scan is seeded, scan writes CSV, text is refute's default, and
+    family members are verified at the default tolerance."""
     path, out = tmp_path / "f6.json", tmp_path / "scan.csv"
     path.write_text(mub6.matrix_to_json(mub6.fourier_f6()))
     code, msg, err = run(capsys, *(a.format(path=path, out=out) for a in argv))

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -34,6 +35,20 @@ def test_tolerances_validation():
         Tolerances(eq_tol=-1e-9)
     with pytest.raises(InvalidInput):
         Tolerances(eq_tol=float("nan"))
+    # at 1 or more the modulus test passes zero entries, so nothing is judged
+    for eq_tol in (1.0, 2, 1e300, float("inf")):
+        with pytest.raises(InvalidInput):
+            Tolerances(eq_tol=eq_tol)
+    assert Tolerances(eq_tol=0.999).eq_tol == 0.999
+
+
+@pytest.mark.parametrize("func", [mub6.dephase, mub6.submatrix_rank, mub6.is_product_vector,
+                                  mub6.product_triple_exists, mub6.b6],
+                         ids=lambda f: f.__name__)
+def test_no_tolerance_where_none_decides(func):
+    """These read no eq_tol: dephase's 1e-12 guard and the rank cutoff are
+    fixed, and b6 verifies its member at the default."""
+    assert "tol" not in inspect.signature(func).parameters
     # eq_tol is the one field; the dedupe radius follows from it
     assert [f.name for f in dataclasses.fields(Tolerances)] == ["eq_tol"]
     for eq_tol in (1e-9, 1e-6, 0.15, 1 / 6):

@@ -248,6 +248,16 @@ def test_scan_rows_and_error_isolation():
             assert r.max_residual < cfg.tol.residual_tol
 
 
+def test_scan_raises_on_a_failed_constructor_check(monkeypatch):
+    """A SolveError is a bug, not an inadmissible point: no flagged row."""
+    def broken(*args):
+        raise mub6.SolveError("m6 failed the Hadamard check")
+
+    monkeypatch.setattr(mub6.musearch, "m6", broken)
+    with pytest.raises(mub6.SolveError):
+        scan_m6([0.9 * PI], OptimConfig(starts=10, seed=0))
+
+
 def test_scan_determinism_is_seed_dependent():
     cfg = OptimConfig(starts=120, seed=10)
     ts = [2 * PI / 3, 0.8 * PI]

@@ -94,7 +94,7 @@ def matrix_texts(draw):
     return matrix_to_json(A)
 
 
-tols = st.one_of(st.none(), st.sampled_from([5e-324, 1e-300, 1e-9, 1.0, 1e300, float("inf")]),
+tols = st.one_of(st.none(), st.sampled_from([5e-324, 1e-300, 1e-9, 0.5, 0.999, 1.0, 1e300, float("inf")]),
                  st.floats(5e-324, float("inf")))
 commands = st.sampled_from([
     ["check"], ["normalize"], ["normalize", "--lemma-form"],

@@ -1,0 +1,76 @@
+"""Print two sha256 digests that pin the package's default outputs.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tools/output_digest.py
+
+The first line hashes render_scan_csv(scan_m6(m6_grid()), OptimConfig()),
+the 50-point MU scan at 2000 starts, seed 0.  The second hashes the exit
+code and stdout, in order, of 1284 in-process cli.main calls: check (text
+and --json), normalize, normalize --lemma-form (text and --json) and
+analyze --report full on each of the 210 matrices of
+tests/test_reference.py INPUTS, then refute (text and --json) at
+m6_grid(5), pi and 2 pi / 3.  A change that should not alter any default
+output must leave both lines as they were.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import os
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from mub6 import OptimConfig, m6_grid, matrix_to_json, render_scan_csv, scan_m6
+from mub6.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _reference_inputs():
+    spec = importlib.util.spec_from_file_location(
+        "test_reference", ROOT / "tests" / "test_reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.INPUTS
+
+
+def _cli_calls(inputs, tmpdir):
+    for i, H in enumerate(inputs):
+        path = Path(tmpdir) / f"m{i}.json"
+        path.write_text(matrix_to_json(H))
+        for argv in (("check",), ("check", "--json"), ("normalize",),
+                     ("normalize", "--lemma-form"), ("normalize", "--lemma-form", "--json"),
+                     ("analyze", "--report", "full")):
+            yield [*argv, "--in", str(path)]
+    for t in list(m6_grid(5)) + [np.pi, 2 * np.pi / 3]:
+        yield ["refute", "--t", repr(float(t))]
+        yield ["refute", "--t", repr(float(t)), "--json"]
+
+
+def cli_digest():
+    os.environ.pop("MUB6_TOL", None)
+    digest = hashlib.sha256()
+    n = 0
+    with tempfile.TemporaryDirectory() as tmpdir:
+        for argv in _cli_calls(_reference_inputs(), tmpdir):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            digest.update(f"{code}\n{out.getvalue()}".encode())
+            n += 1
+    return digest.hexdigest(), n
+
+
+def scan_digest():
+    cfg = OptimConfig()
+    return hashlib.sha256(render_scan_csv(scan_m6(m6_grid()), cfg).encode()).hexdigest()
+
+
+if __name__ == "__main__":
+    print(f"scan_csv  {scan_digest()}")
+    cli, n = cli_digest()
+    print(f"cli_{n}  {cli}")
