@@ -6,9 +6,9 @@ unitary k x k submatrices, product-vector columns, and numerical rank.
 
 Counting conventions: a 2x2 submatrix is proportional to an order-2
 Hadamard matrix exactly when its two rows are orthogonal, which for
-unimodular entries is the standard equivalent condition.  The same
-orthogonality test is applied to degenerate non-Hadamard inputs, where it
-remains well defined even though the Hadamard reading no longer applies.
+unimodular entries is the standard equivalent condition.  The predicates
+apply the same test to non-Hadamard inputs, where it stays well defined
+though the Hadamard reading does not; ``analyze`` refuses such inputs.
 
 These operations only measure; none of them asserts a bound or a theorem
 about which values may occur in sets of mutually unbiased bases.
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_TOL, SQRT6, Tolerances, as_matrix, as_vector, mod_pi_sign
+from .core import DEFAULT_TOL, SQRT6, Tolerances, as_matrix, as_vector, is_hadamard, mod_pi_sign
 from .errors import InvalidInput
 
 __all__ = [
@@ -249,6 +249,9 @@ ALL_SECTIONS = tuple(SECTION_FIELDS)
 
 
 def analyze(H, tol: Tolerances = DEFAULT_TOL, sections=ALL_SECTIONS) -> AnalysisReport:
+    """The requested sections; InvalidInput unless H is Hadamard at tol."""
+    if not is_hadamard(H, tol):
+        raise InvalidInput("analyze needs a Hadamard matrix within the tolerance")
     fields = {"label": getattr(H, "label", None)}
     if "real" in sections:
         fields["real_entry_count"] = count_real_entries(H, tol)

@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Subcommands: families show, check, normalize, analyze, refute, scan.
-Exit codes: 0 success, 1 usage or domain errors, 2 failed verdict
-(refute: claim not refuted; check: not a Hadamard matrix), 3 I/O or
-parse errors.  All machine output is JSON against the schemas shipped
-under schemas/; text output renders the same data.  --tol sets eq_tol
-(families show takes none) and wins over MUB6_TOL, which overrides its
-default; scan, which writes CSV, takes no --json; only scan takes --seed.
+Exit codes: 0 success, 1 usage or domain errors (analyze: not Hadamard),
+2 failed verdict (refute: any audit failed; check: not Hadamard), 3 I/O or
+parse errors.  Machine output is JSON against the schemas in schemas/;
+text output renders the same data.  --tol sets eq_tol for check, normalize,
+analyze and refute, and wins over MUB6_TOL, which overrides its default;
+families show and scan read neither.  Only scan, which writes CSV, is seeded.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def build_parser() -> _Parser:
     show.add_argument("--family", required=True, choices=("m6", "f6", "b6", "s6"))
     show.add_argument("--t", type=float, help="m6 parameter, radians")
     show.add_argument("--t-deg", type=float, dest="t_deg", help="m6 parameter, degrees")
-    show.add_argument("--x1", type=float, default=0.0, help="f6 first phase")
-    show.add_argument("--x2", type=float, default=0.0, help="f6 second phase")
+    show.add_argument("--x1", type=float, help="f6 first phase (default 0)")
+    show.add_argument("--x2", type=float, help="f6 second phase (default 0)")
     show.add_argument("--theta", type=float, help="b6 parameter, radians")
 
     check = sub.add_parser("check", parents=[tol_flag, json_flag],
@@ -116,7 +116,7 @@ def build_parser() -> _Parser:
     ref.add_argument("--t", type=float, help="family parameter, radians")
     ref.add_argument("--t-deg", type=float, dest="t_deg", help="family parameter, degrees")
 
-    scan = sub.add_parser("scan", parents=[tol_flag],
+    scan = sub.add_parser("scan",
                           help="sweep a family, counting MU vectors/bases/triples per point")
     scan.add_argument("--family", required=True, choices=("m6",))
     scan.add_argument("--t-from", type=float, required=True, dest="t_from")
@@ -164,10 +164,14 @@ def _resolve_t(parser, args) -> float:
 
 
 def _cmd_families_show(parser, args) -> int:
+    takes = {"m6": ("t", "t_deg"), "f6": ("x1", "x2"), "b6": ("theta",), "s6": ()}[args.family]
+    for name in ("t", "t_deg", "x1", "x2", "theta"):
+        if getattr(args, name) is not None and name not in takes:
+            parser.error(f"--{name.replace('_', '-')} does not apply to {args.family}")
     if args.family == "m6":
         H = m6(_resolve_t(parser, args))
     elif args.family == "f6":
-        H = fourier_f6(args.x1, args.x2)
+        H = fourier_f6(*(0.0 if x is None else x for x in (args.x1, args.x2)))
     elif args.family == "b6":
         if args.theta is None:
             parser.error("--theta is required for b6")
@@ -274,10 +278,9 @@ def _cmd_refute(parser, args) -> int:
 
 
 def _cmd_scan(parser, args) -> int:
-    tol = _tolerances(args)
     if args.steps < 1:
         parser.error("--steps must be >= 1")
-    cfg = OptimConfig(starts=args.starts, seed=args.seed, tol=tol)
+    cfg = OptimConfig(starts=args.starts, seed=args.seed)
     ts = [float(x) for x in np.linspace(args.t_from, args.t_to, args.steps)]
     rows = scan_m6(ts, cfg)
     write_scan_csv(rows, cfg, args.out, timing=args.timing)

@@ -46,22 +46,19 @@ class Tolerances:
 
     eq_tol        exactness tests (realness, orthogonality, patterns), in (0, 1)
     residual_tol  fixed acceptance threshold for optimizer outputs
-    cluster_tol   deduplication radius of numerical solutions, max(1e-6, eq_tol)
+    cluster_tol   fixed deduplication radius of numerical solutions
     rank_tol      fixed relative singular-value cutoff for rank decisions
     """
 
     eq_tol: float = 1e-9
     residual_tol: ClassVar[float] = 1e-8
+    cluster_tol: ClassVar[float] = 1e-6
     rank_tol: ClassVar[float] = 1e-9
 
     def __post_init__(self):
         # below 1 a zero entry fails the modulus test; NaN fails this form too
         if not 0.0 < self.eq_tol < 1.0:
             raise InvalidInput("eq_tol must lie strictly between 0 and 1")
-
-    @property
-    def cluster_tol(self) -> float:
-        return max(1e-6, self.eq_tol)
 
 
 DEFAULT_TOL = Tolerances()

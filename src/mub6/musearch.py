@@ -16,8 +16,8 @@ orthonormal sextets among them, enumerated in index order, and
 mutually unbiased.  The enumeration requires eq_tol <= 1/6: below that bound
 seven unit vectors cannot be pairwise orthogonal in C^6 (their Gram matrix
 would be positive definite), so no orthogonality clique exceeds six.
-``scan_m6`` sweeps the symmetric family and serializes rows to a CSV whose
-bytes are reproducible for a fixed seed.
+``scan_m6`` sweeps the symmetric family at the default thresholds and
+serializes rows to a CSV whose bytes are reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from typing import ClassVar
 
 import numpy as np
 
@@ -73,9 +74,12 @@ class MUVector:
 
 @dataclass(frozen=True)
 class OptimConfig:
+    """Start budget and seed.  tol is a class attribute, not a field: the search
+    decides at fixed thresholds, and cfg.tol stays readable for callers."""
+
     starts: int = 2000
     seed: int = 0
-    tol: Tolerances = DEFAULT_TOL
+    tol: ClassVar[Tolerances] = DEFAULT_TOL
 
     def __post_init__(self):
         if self.starts < 1:
@@ -216,21 +220,14 @@ def find_mu_vectors(H, cfg: OptimConfig = OptimConfig(), rng=None):
         rng = np.random.default_rng(cfg.seed)
     P0 = rng.uniform(0.0, 2.0 * np.pi, size=(cfg.starts, 5))
     P, defect = solve_phases(np.conj(A), P0, _MAX_ITERS)
-    P = np.mod(P[defect < cfg.tol.residual_tol], 2.0 * np.pi)
+    P = np.mod(P[defect < Tolerances.residual_tol], 2.0 * np.pi)
     P = P[np.lexsort(P.T[::-1])]         # the order of Python's tuple sort
     out = []
-    for i in _dedupe(P, cfg.tol.cluster_tol):
+    for i in _dedupe(P, Tolerances.cluster_tol):
         phases = tuple(float(x) for x in P[i])
         out.append(MUVector(phases=phases, vector=ColVec6(_phases_to_vectors(P[i])),
                             residual=residual_of(A, P[i])))
     return out
-
-
-def _require_sextet_tol(tol: Tolerances):
-    """Raise InvalidInput unless eq_tol <= 1/6, the bound extract_bases needs."""
-    if not tol.eq_tol <= 1.0 / 6.0:
-        raise InvalidInput(f"eq_tol {tol.eq_tol!r} exceeds 1/6, so seven vectors "
-                           "could pass as pairwise orthogonal in C^6")
 
 
 def extract_bases(vectors, tol: Tolerances = DEFAULT_TOL):
@@ -243,7 +240,9 @@ def extract_bases(vectors, tol: Tolerances = DEFAULT_TOL):
     (Gershgorin), impossible in C^6, so no clique exceeds six and every
     sextet found is linearly independent.
     """
-    _require_sextet_tol(tol)
+    if not tol.eq_tol <= 1.0 / 6.0:
+        raise InvalidInput(f"eq_tol {tol.eq_tol!r} exceeds 1/6, so seven vectors "
+                           "could pass as pairwise orthogonal in C^6")
     if len(vectors) < 6:
         return []
     V = np.stack([np.asarray(m.vector.entries) for m in vectors])
@@ -284,9 +283,8 @@ def scan_m6(t_values, cfg: OptimConfig = OptimConfig()):
     """Sweep the symmetric family, one ScanRow per t in input order.
     Inadmissible parameters (DomainError) are captured in the row, never
     aborting the sweep.  Each row draws from its own child of cfg.seed, so results do
-    not depend on how the grid is chunked.  An eq_tol above 1/6 raises
-    InvalidInput before any point is searched."""
-    _require_sextet_tol(cfg.tol)
+    not depend on how the grid is chunked.  Bases and triples are decided at
+    the default tolerance, so no setting moves a count."""
     ts = [float(t) for t in t_values]
     children = np.random.SeedSequence(cfg.seed).spawn(len(ts))
     rows = []
@@ -296,8 +294,8 @@ def scan_m6(t_values, cfg: OptimConfig = OptimConfig()):
             H = m6(float(t))
             rng = np.random.default_rng(children[idx])
             vecs = find_mu_vectors(H, cfg, rng=rng)
-            bases = extract_bases(vecs, cfg.tol)
-            n_triples = sum(1 for b in bases if verify_triple(H, vecs, b, cfg.tol))
+            bases = extract_bases(vecs)
+            n_triples = sum(1 for b in bases if verify_triple(H, vecs, b))
             max_res = max((v.residual for v in vecs), default=0.0)
             rows.append(ScanRow(
                 t=float(t), n_mu_vectors=len(vecs), n_bases=len(bases),

@@ -45,7 +45,7 @@ class LemmaReport:
 
     third_col_moduli are the raw entry moduli of the normalized matrix, so
     for a genuine Hadamard matrix each sits at 1/sqrt(6); the refuted claim
-    needs two of them to be zero.
+    needs two of them to be zero.  The verdict needs every audit to pass.
     """
 
     t: float
@@ -80,7 +80,7 @@ def run_counterexample(t: float, tol: Tolerances = DEFAULT_TOL) -> LemmaReport:
 
     Recipe: multiply column 2 by conj(a), lift rows 3..6 above rows 1..2,
     then rephase columns 3..6 so the new first row is constant.  All of it
-    is carried by one replayable TransformRecord.
+    is carried by one replayable TransformRecord.  Any failed audit gives NOT_REFUTED.
     """
     H = m6(t)
     U = H.entries * SQRT6
@@ -108,15 +108,14 @@ def run_counterexample(t: float, tol: Tolerances = DEFAULT_TOL) -> LemmaReport:
     )
 
     tail = c2[3:6]
-    canonical = verify_tail_structure(tuple(tail), tol)
     split = split_tail(tail, eq)
     # the claim fixes the order: the -1 anchor comes first
-    tail_ok = canonical is not None and split[0] == 0
+    tail_ok = bool(split is not None and split[0] == 0 and abs(sum(tail) + 1.0) <= eq)
     s = split[1] if tail_ok else None
 
     moduli = tuple(float(x) for x in np.abs(A[:, 2]))
     min_modulus = min(moduli)
-    refuted = lemma_form_ok and tail_ok and min_modulus > 1.0 / SQRT6 - eq
+    refuted = is_hadamard_ok and lemma_form_ok and tail_ok and min_modulus > 1.0 / SQRT6 - eq
     return LemmaReport(
         t=float(t),
         is_hadamard_ok=is_hadamard_ok,

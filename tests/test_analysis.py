@@ -244,6 +244,13 @@ def test_analyze_full_report(f6):
     assert all(isinstance(l, SubmatrixLoc) for l in rep.unitary_3x3)
 
 
+@pytest.mark.parametrize("A", [np.zeros((6, 6)), 2 * mub6.fourier_f6().entries],
+                         ids=["zero", "2f6"])
+def test_analyze_refuses_non_hadamard_input(A):
+    with pytest.raises(InvalidInput, match="Hadamard"):
+        analyze(A)
+
+
 def test_analyze_sections(f6):
     rep = analyze(f6, sections=("h2",))
     assert rep.h2_submatrix_count == 45

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -141,6 +142,28 @@ def test_families_show_round_trip(capsys, tmp_path, schemas, argv, builder):
     assert json.loads(out2)["is_hadamard"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("--family", "m6", "--t", "3", "--theta", "2"),
+    ("--family", "m6", "--t", "3", "--x1", "0.5"),
+    ("--family", "s6", "--t", "3"),
+    ("--family", "f6", "--t-deg", "90"),
+    ("--family", "f6", "--x1", "0.5", "--theta", "2"),
+    ("--family", "b6", "--theta", "2", "--x2", "0.1"),
+])
+def test_families_show_refuses_parameters_the_family_does_not_take(capsys, argv):
+    """A value the chosen family does not read is a usage error, not dropped."""
+    code, out, err = run(capsys, "families", "show", *argv)
+    assert (code, out) == (1, "")
+    assert "does not apply to" in err
+
+
+def test_families_show_f6_defaults_the_missing_phase(capsys):
+    code, out, _ = run(capsys, "families", "show", "--family", "f6", "--x2", "0.5")
+    assert code == 0
+    np.testing.assert_array_equal(mub6.matrix_from_json(out).entries,
+                                  mub6.fourier_f6(0.0, 0.5).entries)
+
+
 def test_t_deg_matches_radians(capsys):
     _, out_rad, _ = run(capsys, "families", "show", "--family", "m6", "--t", PI)
     _, out_deg, _ = run(capsys, "families", "show", "--family", "m6", "--t-deg", 180)
@@ -280,22 +303,16 @@ def _run_showing_warnings(*argv):
 
 @pytest.mark.parametrize("modulus", [1e300, 1.5e308])
 def test_analyze_is_silent_on_overflowing_input(tmp_path, modulus):
-    """F6 with entries of a huge but finite modulus overflows inside the
-    realness, H2 and unitary-block tests.  analyze still exits 0 with the
-    same verdicts, and no RuntimeWarning reaches stderr even when every
-    warning is shown.  Only the first row and column stay exactly real at
-    this scale, so 11 entries count as real."""
+    """F6 scaled to entries of a huge but finite modulus is not a Hadamard
+    matrix, so analyze refuses it with one error line instead of reporting
+    counts that depend on the scale (11 real entries where F6 has 20).  The
+    check itself overflows, yet no RuntimeWarning reaches stderr even when
+    every warning is shown."""
     p = tmp_path / "huge.json"
     p.write_text(matrix_to_json(mub6.fourier_f6().entries * SQRT6 * modulus))
     proc = _run_showing_warnings("analyze", "--in", p, "--report", "full")
-    assert proc.returncode == 0
-    assert proc.stderr == ""
-    rep = json.loads(proc.stdout)
-    assert rep["real_entry_count"] == 11 and rep["exceeds_bound"] is False
-    assert rep["real_3x2_raw"] == [] and rep["real_3x2_rephased"] == []
-    assert rep["h2_submatrix_count"] == 0 and rep["h2_reducible_partition"] is None
-    assert rep["unitary_3x3"] == []
-    assert rep["product_triple_found"] is True
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("mub6: error:")
 
 
 def test_normalize_is_silent_on_overflowing_input(tmp_path):
@@ -345,6 +362,17 @@ def test_refute_text_audit_lines(capsys):
     assert "verdict: LEMMA_CLAIM_REFUTED" in out
 
 
+@pytest.mark.parametrize("tol", ["1e-16", "2e-16", "3e-16"])
+def test_refute_fails_closed_below_double_rounding(capsys, tol):
+    """At a --tol below the Hadamard residual of the normalized m6(2.0) the
+    Hadamard audit fails, so the verdict cannot be LEMMA_CLAIM_REFUTED; the
+    tail audit reports on its own and raises nothing."""
+    code, out, err = run(capsys, "refute", "--t", "2.0", "--tol", tol)
+    assert (code, err) == (2, "")
+    assert re.search(r"^hadamard: +FAIL", out, re.M)
+    assert "verdict: NOT_REFUTED" in out
+
+
 # ---------------------------------------------------------------------- scan
 
 def test_scan_csv_reproducible(capsys, tmp_path):
@@ -381,38 +409,27 @@ def test_scan_flags_inadmissible_rows(capsys, tmp_path):
 
 @pytest.mark.parametrize("t_from, t_to, steps, tol", [
     (1.7, 3.1, 5, "3e-16"), (1.7, 3.1, 5, "1e-16"), (6.18, 6.25, 3, "0.1"),
+    (3.14159, 3.14159, 1, "0.3"),
 ])
-def test_scan_tolerance_does_not_flag_admissible_points(capsys, tmp_path, t_from, t_to,
-                                                        steps, tol):
-    """Each m6(t) is checked at the default tolerance: a tight --tol once
-    failed its Hadamard check and a loose one read a = e^{it} near 1 as the
-    excluded a = 1, and either wrote admissible points as flagged rows."""
-    out = tmp_path / "scan.csv"
-    code, msg, _ = run(capsys, "scan", "--family", "m6", "--t-from", t_from, "--t-to", t_to,
-                       "--steps", steps, "--starts", "50", "--tol", tol, "--out", out)
+def test_scan_tolerance_does_not_flag_admissible_points(capsys, tmp_path, monkeypatch,
+                                                        t_from, t_to, steps, tol):
+    """scan reads no MUB6_TOL: the CSV is the same bytes with it set or unset,
+    and no admissible point is flagged.  When the scan read a tolerance, a
+    tight one failed the Hadamard check of each m6(t), a loose one read
+    a = e^{it} near 1 as the excluded a = 1, and either moved the counts."""
+    args = ["scan", "--family", "m6", "--t-from", t_from, "--t-to", t_to,
+            "--steps", steps, "--starts", "50", "--out"]
+    code, _, _ = run(capsys, *args, tmp_path / "unset.csv")
     assert code == 0
+    monkeypatch.setenv("MUB6_TOL", tol)
+    code, msg, err = run(capsys, *args, tmp_path / "set.csv")
+    assert (code, err) == (0, "")
     assert "flagged" not in msg
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    text = (tmp_path / "set.csv").read_text()
+    assert text == (tmp_path / "unset.csv").read_text()
+    rows = [line.split(",") for line in text.splitlines()[1:]]
     assert len(rows) == steps
     assert all(int(r[3]) > 0 for r in rows)
-
-
-@pytest.mark.parametrize("via", ["flag", "env"])
-def test_scan_refuses_tolerance_above_one_sixth(capsys, tmp_path, monkeypatch, via):
-    """At --tol 0.3 non-orthogonal vectors would pass as bases (52 on
-    m6(pi), where F6 has 16); the scan must fail instead of writing them."""
-    out = tmp_path / "loose.csv"
-    args = ["scan", "--family", "m6", "--t-from", "3.14159", "--t-to", "3.14159",
-            "--steps", "1", "--starts", "50", "--out", out]
-    if via == "flag":
-        args += ["--tol", "0.3"]
-    else:
-        monkeypatch.setenv("MUB6_TOL", "0.3")
-    code, msg, err = run(capsys, *args)
-    assert code == 1
-    assert msg == ""
-    assert len(err.splitlines()) == 1 and err.startswith("mub6: error:")
-    assert not out.exists()
 
 
 def test_scan_refuses_negative_seed(capsys, tmp_path):
@@ -435,11 +452,13 @@ def test_scan_refuses_negative_seed(capsys, tmp_path):
      "--starts", "10", "--out", "{out}", "--json"],
     ["refute", "--t", "3.14", "--text"],
     ["families", "show", "--family", "f6", "--tol", "1e-9"],
+    ["scan", "--family", "m6", "--t-from", "3.14", "--t-to", "3.14", "--steps", "1",
+     "--starts", "10", "--out", "{out}", "--tol", "0.1"],
 ], ids=["show-seed", "check-seed", "normalize-seed", "analyze-seed", "refute-seed",
-        "scan-json", "refute-text", "show-tol"])
+        "scan-json", "refute-text", "show-tol", "scan-tol"])
 def test_unhonoured_flags_are_usage_errors(capsys, tmp_path, argv):
     """Only scan is seeded, scan writes CSV, text is refute's default, and
-    family members are verified at the default tolerance."""
+    family members and scan counts are decided at the default tolerance."""
     path, out = tmp_path / "f6.json", tmp_path / "scan.csv"
     path.write_text(mub6.matrix_to_json(mub6.fourier_f6()))
     code, msg, err = run(capsys, *(a.format(path=path, out=out) for a in argv))

@@ -47,12 +47,16 @@ def test_tolerances_validation():
                          ids=lambda f: f.__name__)
 def test_no_tolerance_where_none_decides(func):
     """These read no eq_tol: dephase's 1e-12 guard and the rank cutoff are
-    fixed, and b6 verifies its member at the default."""
+    fixed, and b6 verifies its member at the default.  Nor does the MU
+    search: its dedupe radius is fixed and OptimConfig takes no tolerance."""
     assert "tol" not in inspect.signature(func).parameters
-    # eq_tol is the one field; the dedupe radius follows from it
     assert [f.name for f in dataclasses.fields(Tolerances)] == ["eq_tol"]
-    for eq_tol in (1e-9, 1e-6, 0.15, 1 / 6):
-        assert Tolerances(eq_tol=eq_tol).cluster_tol == max(1e-6, eq_tol)
+    for eq_tol in (1e-9, 1e-6, 0.1, 1 / 6, 0.5):
+        assert Tolerances(eq_tol=eq_tol).cluster_tol == 1e-6
+    assert [f.name for f in dataclasses.fields(mub6.OptimConfig)] == ["starts", "seed"]
+    assert mub6.OptimConfig().tol is DEFAULT_TOL
+    with pytest.raises(TypeError):
+        mub6.OptimConfig(tol=DEFAULT_TOL)
 
 
 def test_cmat6_shape_and_immutability():

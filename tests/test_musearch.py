@@ -213,16 +213,6 @@ def test_extract_bases_in_oracle_order(family, param, eq_tol, count):
     assert len(got) == count
 
 
-def test_scan_refuses_eq_tol_above_one_sixth_before_searching(monkeypatch):
-    def no_search(*args, **kwargs):
-        pytest.fail("scan_m6 searched before refusing the tolerance")
-
-    monkeypatch.setattr(mub6.musearch, "find_mu_vectors", no_search)
-    cfg = OptimConfig(tol=mub6.Tolerances(eq_tol=0.3))
-    with pytest.raises(InvalidInput, match="exceeds 1/6"):
-        scan_m6([PI], cfg)
-
-
 def test_extract_bases_refuses_eq_tol_above_one_sixth(f6):
     """Above 1/6 seven vectors can pass as pairwise orthogonal in C^6."""
     vecs = find_mu_vectors(f6, OptimConfig(starts=2000, seed=0))

@@ -1,5 +1,5 @@
 """Property tests: structure survives equivalence moves, and the CLI fails
-closed on any 6x6 input.
+closed on any 6x6 input and on refute at any tolerance.
 
 The CLI is called in-process through ``mub6.cli.main``; an exception that
 escapes it is exactly the traceback a user would see.  Example counts are
@@ -101,6 +101,34 @@ commands = st.sampled_from([
     ["analyze", "--report", "full"], ["analyze", "--report", "real"],
     ["analyze", "--report", "h2"], ["analyze", "--report", "product"],
 ])
+
+
+admissible_ts = st.one_of(st.floats(np.pi / 2, np.pi, exclude_min=True),
+                          st.floats(1.5 * np.pi, 2 * np.pi - 1e-6, exclude_min=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_ts, st.one_of(tols, st.floats(1e-16, 5e-16)))
+@example(t=2.0, tol=3e-16)
+def test_refute_fails_closed(t, tol):
+    """refute on an admissible t (m6 refuses t within 1e-9 of 2 pi, where
+    a = 1) ends in a verdict, 0 or 2, at every legal --tol; a tolerance
+    outside (0, 1) is the only error.  A refuting verdict needs every audit
+    to pass."""
+    argv = ["refute", "--t", repr(t), "--json"]
+    if tol is not None:
+        argv += ["--tol", repr(tol)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if tol is not None and not 0.0 < tol < 1.0:
+        assert code == 1 and out.getvalue() == ""
+        return
+    assert code in (0, 2) and err.getvalue() == ""
+    rep = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert (code == 0) == (rep["verdict"] == "LEMMA_CLAIM_REFUTED")
+    if code == 0:
+        assert rep["is_hadamard_ok"] and rep["lemma_form_ok"] and rep["tail_ok"]
 
 
 def _reject_constant(name):
