@@ -85,7 +85,6 @@ from .musearch import (
     scan_m6,
     render_scan_csv,
     write_scan_csv,
-    write_plot_file,
 )
 
 __version__ = "0.1.0"

@@ -3,10 +3,12 @@
 Subcommands: families show, check, normalize, analyze, refute, scan.
 Exit codes: 0 success, 1 usage or domain errors (analyze: not Hadamard),
 2 failed verdict (refute: any audit failed; check: not Hadamard), 3 I/O or
-parse errors.  Machine output is JSON against the schemas in schemas/;
-text output renders the same data.  --tol sets eq_tol for check, normalize,
-analyze and refute, and wins over MUB6_TOL, which overrides its default;
-families show and scan read neither.  Only scan, which writes CSV, is seeded.
+parse errors.  Machine output is JSON against the schemas in schemas/:
+families show, plain normalize and analyze always print it, and check,
+normalize --lemma-form and refute print it with --json (text otherwise).
+--tol, the only way to set eq_tol, applies to check, normalize --lemma-form,
+analyze and refute.  No environment variable is read.  Only scan, which
+writes CSV, is seeded.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -33,7 +34,7 @@ from .core import (
 from .equivalence import dephase, to_lemma_form
 from .errors import InvalidInput, Mub6Error
 from .families import b6, fourier_f6, m6, s6
-from .musearch import OptimConfig, scan_m6, write_plot_file, write_scan_csv
+from .musearch import OptimConfig, scan_m6, write_scan_csv
 from .refutation import VERDICT_REFUTED, run_counterexample
 
 __all__ = ["main", "build_parser"]
@@ -74,7 +75,7 @@ def _emit(obj) -> None:
 def build_parser() -> _Parser:
     tol_flag = argparse.ArgumentParser(add_help=False)
     tol_flag.add_argument("--tol", type=float, default=None,
-                          help="equality tolerance eq_tol (default 1e-9, or MUB6_TOL)")
+                          help="equality tolerance eq_tol (default 1e-9)")
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="emit JSON output")
 
@@ -86,8 +87,7 @@ def build_parser() -> _Parser:
 
     fam = sub.add_parser("families", help="built-in Hadamard matrix families")
     famsub = fam.add_subparsers(dest="families_command", required=True, metavar="action")
-    show = famsub.add_parser("show", parents=[json_flag],
-                             help="print one family member as JSON")
+    show = famsub.add_parser("show", help="print one family member as JSON")
     show.add_argument("--family", required=True, choices=("m6", "f6", "b6", "s6"))
     show.add_argument("--t", type=float, help="m6 parameter, radians")
     show.add_argument("--t-deg", type=float, dest="t_deg", help="m6 parameter, degrees")
@@ -105,7 +105,7 @@ def build_parser() -> _Parser:
     norm.add_argument("--lemma-form", dest="lemma_form", action="store_true",
                       help="search for the normalized shape with a real upper 3x2 block")
 
-    ana = sub.add_parser("analyze", parents=[tol_flag, json_flag],
+    ana = sub.add_parser("analyze", parents=[tol_flag],
                          help="structural measurements (real entries, 2x2 Hadamard "
                               "submatrices, product columns)")
     ana.add_argument("--in", dest="path", required=True, metavar="JSON")
@@ -125,7 +125,6 @@ def build_parser() -> _Parser:
     scan.add_argument("--starts", type=int, default=2000)
     scan.add_argument("--seed", type=int, default=0, help="seed of the random starts")
     scan.add_argument("--out", required=True, metavar="CSV")
-    scan.add_argument("--plot", metavar="PATH", help="also write a t,n_mu_vectors file")
     scan.add_argument("--timing", action="store_true",
                       help="record real wall times (breaks byte-identical reruns)")
 
@@ -133,15 +132,7 @@ def build_parser() -> _Parser:
 
 
 def _tolerances(args) -> Tolerances:
-    eq = args.tol
-    if eq is None:
-        env = os.environ.get("MUB6_TOL")
-        if env is not None:
-            try:
-                eq = float(env)
-            except ValueError:
-                raise InvalidInput(f"MUB6_TOL is not a number: {env!r}")
-    return DEFAULT_TOL if eq is None else Tolerances(eq_tol=eq)
+    return DEFAULT_TOL if args.tol is None else Tolerances(eq_tol=args.tol)
 
 
 def _load_matrix(path):
@@ -213,13 +204,14 @@ def _cmd_check(parser, args) -> int:
 
 
 def _cmd_normalize(parser, args) -> int:
-    tol = _tolerances(args)
-    H = _load_matrix(args.path)
     if not args.lemma_form:
-        D, record = dephase(H)
+        if args.tol is not None or args.json:
+            parser.error("--tol and --json apply only to normalize --lemma-form")
+        D, _ = dephase(_load_matrix(args.path))
         print(matrix_to_json(D))
         return 0
-    form = to_lemma_form(H, tol)
+    tol = _tolerances(args)
+    form = to_lemma_form(_load_matrix(args.path), tol)
     if form is None:
         if args.json:
             _emit({"present": False})
@@ -284,8 +276,6 @@ def _cmd_scan(parser, args) -> int:
     ts = [float(x) for x in np.linspace(args.t_from, args.t_to, args.steps)]
     rows = scan_m6(ts, cfg)
     write_scan_csv(rows, cfg, args.out, timing=args.timing)
-    if args.plot:
-        write_plot_file(rows, args.plot)
     flagged = sum(1 for r in rows if r.error is not None)
     print(f"wrote {len(rows)} rows to {args.out}" +
           (f" ({flagged} flagged invalid)" if flagged else ""))

@@ -38,8 +38,8 @@ __all__ = [
 #   1  -a   d   e   f   g
 #   1  -a   e   d   g   f
 #
-# with a = e^{it}, t in (pi/2, pi] u (3pi/2, 2pi].  The endpoint t = 2pi
-# gives a = 1, which is an excluded parameter: the entry solver rejects it.
+# with a = e^{it}, t in (pi/2, pi] u (3pi/2, 2pi).  t = 2pi would give the
+# excluded parameter a = 1, which the entry solver rejects.
 
 _HALF_PI = np.pi / 2.0
 _TWO_PI = 2.0 * np.pi
@@ -53,8 +53,8 @@ def _checked(H: CMat6, tol: Tolerances = DEFAULT_TOL) -> CMat6:
 
 
 def is_admissible_t(t: float) -> bool:
-    """Membership in (pi/2, pi] u (3pi/2, 2pi], taking t at face value."""
-    return (_HALF_PI < t <= np.pi) or (1.5 * np.pi < t <= _TWO_PI)
+    """Membership in (pi/2, pi] u (3pi/2, 2pi), taking t at face value."""
+    return (_HALF_PI < t <= np.pi) or (1.5 * np.pi < t < _TWO_PI)
 
 
 def _pair_from_sum(S: complex):
@@ -85,9 +85,9 @@ def solve_m6_entries(a: complex, tol: Tolerances = DEFAULT_TOL):
     through t = pi; the remaining orthogonality relations then hold
     identically.  The assembled matrix is re-verified before returning.
     """
-    if abs(abs(a) - 1.0) > tol.eq_tol:
+    if not abs(abs(a) - 1.0) <= tol.eq_tol:
         raise DomainError(f"parameter a must be unimodular, got |a| = {abs(a)}")
-    if abs(a - 1.0) <= tol.eq_tol:
+    if a == 1.0:
         raise DomainError("a = 1 is an excluded parameter of the family")
     aa = a * a
     b, c = _pair_from_sum((aa - 2.0 * a - 1.0) / 2.0)
@@ -117,12 +117,12 @@ def _assemble_m6(a, b, c, d, e, f, g):
 def m6(t: float, tol: Tolerances = DEFAULT_TOL) -> CMat6:
     """The symmetric family member at parameter t (radians).
 
-    Raises DomainError for t outside (pi/2, pi] u (3pi/2, 2pi] and at the
-    excluded endpoint t = 2pi (where a = 1).
+    Raises DomainError for t outside (pi/2, pi] u (3pi/2, 2pi); the open
+    end t = 2pi would give the excluded parameter a = 1.
     """
     if not is_admissible_t(t):
         raise DomainError(
-            f"t = {t} outside the admissible set (pi/2, pi] u (3pi/2, 2pi]"
+            f"t = {t} outside the admissible set (pi/2, pi] u (3pi/2, 2pi)"
         )
     a = np.exp(1j * t)
     b, c, d, e, f, g = solve_m6_entries(a, tol)

@@ -45,7 +45,6 @@ __all__ = [
     "scan_m6",
     "render_scan_csv",
     "write_scan_csv",
-    "write_plot_file",
 ]
 
 CSV_HEADER = "t,a_re,a_im,n_mu_vectors,n_bases,n_triples,max_residual,starts,seed,wall_time_s"
@@ -338,11 +337,3 @@ def write_scan_csv(rows, cfg: OptimConfig, path, timing: bool = False) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_scan_csv(rows, cfg, timing=timing))
 
-
-def write_plot_file(rows, path) -> None:
-    """Two-column t,n_mu_vectors companion file for external plotting."""
-    lines = ["t,n_mu_vectors"]
-    for row in rows:
-        lines.append(f"{float(row.t)!r},{row.n_mu_vectors}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

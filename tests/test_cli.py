@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -9,7 +10,7 @@ import jsonschema
 
 import mub6
 from mub6 import SQRT6, matrix_to_json
-from mub6.cli import main
+from mub6.cli import build_parser, main
 
 PI = np.pi
 
@@ -192,19 +193,14 @@ def test_tol_flag_loosens_check(capsys, perturbed):
     assert code == 0
 
 
-def test_env_tolerance_and_flag_priority(capsys, perturbed, monkeypatch):
-    monkeypatch.setenv("MUB6_TOL", "1e-5")
-    code, _, _ = run(capsys, "check", "--in", perturbed)
-    assert code == 0
-    code, _, _ = run(capsys, "check", "--in", perturbed, "--tol", "1e-9")
-    assert code == 2
-
-
-def test_bad_env_tolerance_exits_1(capsys, perturbed, monkeypatch):
-    monkeypatch.setenv("MUB6_TOL", "three")
-    code, _, err = run(capsys, "check", "--in", perturbed)
-    assert code == 1
-    assert "MUB6_TOL" in err
+@pytest.mark.parametrize("env", ["1e-5", "three"])
+def test_tolerance_environment_variable_is_not_read(capsys, perturbed, monkeypatch, env):
+    """--tol is the one way to set eq_tol: MUB6_TOL, once a second way in,
+    neither loosens the check nor fails to parse."""
+    unset = run(capsys, "check", "--in", perturbed)
+    monkeypatch.setenv("MUB6_TOL", env)
+    assert run(capsys, "check", "--in", perturbed) == unset
+    assert unset[0] == 2
 
 
 @pytest.mark.parametrize("tol", ["2", "inf"])
@@ -355,6 +351,14 @@ def test_refute_stdout_deterministic(capsys):
     assert a == b
 
 
+def test_refute_just_below_two_pi(capsys):
+    """The largest double below 2 pi is admissible: a = e^{it} differs from
+    the excluded a = 1, m6(t) is Hadamard and the claim is refuted."""
+    code, out, err = run(capsys, "refute", "--t", "6.283185307179585")
+    assert (code, err) == (0, "")
+    assert "verdict: LEMMA_CLAIM_REFUTED" in out
+
+
 def test_refute_text_audit_lines(capsys):
     code, out, _ = run(capsys, "refute", "--t-deg", "180")
     assert code == 0
@@ -380,8 +384,7 @@ def test_scan_csv_reproducible(capsys, tmp_path):
             "--t-from", str(0.85 * PI), "--t-to", str(0.95 * PI),
             "--steps", "2", "--starts", "50", "--seed", "7")
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    plot = tmp_path / "plot.txt"
-    code, msg, _ = run(capsys, *args, "--out", out1, "--plot", plot)
+    code, msg, _ = run(capsys, *args, "--out", out1)
     assert code == 0
     assert "wrote 2 rows" in msg
     code, _, _ = run(capsys, *args, "--out", out2)
@@ -390,9 +393,6 @@ def test_scan_csv_reproducible(capsys, tmp_path):
     lines = out1.read_text().splitlines()
     assert lines[0] == mub6.CSV_HEADER
     assert len(lines) == 3
-    plines = plot.read_text().splitlines()
-    assert plines[0] == "t,n_mu_vectors"
-    assert len(plines) == 3
 
 
 def test_scan_flags_inadmissible_rows(capsys, tmp_path):
@@ -454,11 +454,17 @@ def test_scan_refuses_negative_seed(capsys, tmp_path):
     ["families", "show", "--family", "f6", "--tol", "1e-9"],
     ["scan", "--family", "m6", "--t-from", "3.14", "--t-to", "3.14", "--steps", "1",
      "--starts", "10", "--out", "{out}", "--tol", "0.1"],
+    ["families", "show", "--family", "f6", "--json"],
+    ["analyze", "--in", "{path}", "--json"],
+    ["scan", "--family", "m6", "--t-from", "3.14", "--t-to", "3.14", "--steps", "1",
+     "--starts", "10", "--out", "{out}", "--plot", "{out}.plot"],
 ], ids=["show-seed", "check-seed", "normalize-seed", "analyze-seed", "refute-seed",
-        "scan-json", "refute-text", "show-tol", "scan-tol"])
+        "scan-json", "refute-text", "show-tol", "scan-tol", "show-json", "analyze-json",
+        "scan-plot"])
 def test_unhonoured_flags_are_usage_errors(capsys, tmp_path, argv):
-    """Only scan is seeded, scan writes CSV, text is refute's default, and
-    family members and scan counts are decided at the default tolerance."""
+    """Only scan is seeded, scan writes only its CSV, text is refute's
+    default, families show and analyze always print JSON, and family
+    members and scan counts are decided at the default tolerance."""
     path, out = tmp_path / "f6.json", tmp_path / "scan.csv"
     path.write_text(mub6.matrix_to_json(mub6.fourier_f6()))
     code, msg, err = run(capsys, *(a.format(path=path, out=out) for a in argv))
@@ -466,6 +472,48 @@ def test_unhonoured_flags_are_usage_errors(capsys, tmp_path, argv):
     assert msg == ""
     assert "unrecognized arguments" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--tol", "1e-3"], ["--json"]])
+def test_plain_normalize_refuses_lemma_form_flags(capsys, tmp_path, flags):
+    """Dephasing reads no tolerance and always prints a JSON matrix, so
+    --tol and --json belong to normalize --lemma-form only."""
+    p = tmp_path / "f6.json"
+    p.write_text(matrix_to_json(mub6.fourier_f6()))
+    code, out, err = run(capsys, "normalize", "--in", p, *flags)
+    assert (code, out) == (1, "")
+    assert "apply only to normalize --lemma-form" in err
+    code, out, _ = run(capsys, "normalize", "--in", p, "--lemma-form", "--tol", "1e-3", "--json")
+    assert code == 0 and json.loads(out)["present"] is True
+
+
+CLI_FLAGS = {
+    "families show": {"--family", "--t", "--t-deg", "--x1", "--x2", "--theta"},
+    "check": {"--in", "--tol", "--json"},
+    "normalize": {"--in", "--lemma-form", "--tol", "--json"},
+    "analyze": {"--in", "--report", "--tol"},
+    "refute": {"--t", "--t-deg", "--tol", "--json"},
+    "scan": {"--family", "--t-from", "--t-to", "--steps", "--starts", "--seed", "--out",
+             "--timing"},
+}
+
+
+def _leaf_flags(parser, name=""):
+    """(subcommand, its flags) for every parser without subcommands of its own."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield name, {f for a in parser._actions for f in a.option_strings} - {"-h", "--help"}
+    for action in subs:
+        for sub_name, sub in action.choices.items():
+            yield from _leaf_flags(sub, f"{name} {sub_name}".strip())
+
+
+def test_cli_flag_surface():
+    """Every flag the CLI accepts, 28 in all.  A new flag is a deliberate
+    edit of this table; each one must change what its command does."""
+    surface = dict(_leaf_flags(build_parser()))
+    assert surface == CLI_FLAGS
+    assert sum(map(len, surface.values())) == 28
 
 
 # -------------------------------------------------------------- entry point

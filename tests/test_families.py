@@ -30,9 +30,9 @@ def test_admissible_set_boundaries():
     assert not is_admissible_t(3 * PI / 2)
     assert is_admissible_t(3 * PI / 2 + 1e-9)
     assert is_admissible_t(2 * PI - 1e-9)
-    # 2pi sits inside the printed interval; the constructor still rejects it
-    # because the corresponding a = 1 degenerates the family (see m6 tests)
-    assert is_admissible_t(2 * PI)
+    assert is_admissible_t(np.nextafter(2 * PI, 0.0))
+    # 2pi would give the excluded parameter a = 1, so the second arc is open
+    assert not is_admissible_t(2 * PI)
     assert not is_admissible_t(2 * PI + 1e-9)
     assert not is_admissible_t(0.0)
     assert not is_admissible_t(0.4 * PI)
@@ -47,6 +47,8 @@ def test_m6_rejects_outside_domain():
 def test_solver_rejects_non_unimodular_a():
     with pytest.raises(DomainError):
         solve_m6_entries(1.1 + 0.0j)
+    with pytest.raises(DomainError, match="must be unimodular"):
+        solve_m6_entries(complex("nan"))
     with pytest.raises(DomainError):
         solve_m6_entries(1.0 + 0.0j)  # a = 1 is the excluded endpoint
 

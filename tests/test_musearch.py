@@ -17,7 +17,6 @@ from mub6 import (
     residual_of,
     scan_m6,
     verify_triple,
-    write_plot_file,
     write_scan_csv,
 )
 
@@ -290,18 +289,6 @@ def test_csv_timing_flag_changes_only_last_column():
     assert plain[:9] == timed[:9]
     assert plain[9] == "0.000000"
     assert float(timed[9]) > 0.0
-
-
-def test_plot_file(tmp_path):
-    cfg = OptimConfig(starts=80, seed=1)
-    rows = scan_m6([0.9 * PI], cfg)
-    p = tmp_path / "plot.txt"
-    write_plot_file(rows, p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "t,n_mu_vectors"
-    t, n = lines[1].split(",")
-    assert float(t) == pytest.approx(0.9 * PI)
-    assert int(n) == rows[0].n_mu_vectors
 
 
 def central_jacobian(fun, p, h=1e-6):

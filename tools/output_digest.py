@@ -18,7 +18,6 @@ import contextlib
 import hashlib
 import importlib.util
 import io
-import os
 import tempfile
 from pathlib import Path
 
@@ -52,7 +51,6 @@ def _cli_calls(inputs, tmpdir):
 
 
 def cli_digest():
-    os.environ.pop("MUB6_TOL", None)
     digest = hashlib.sha256()
     n = 0
     with tempfile.TemporaryDirectory() as tmpdir:
