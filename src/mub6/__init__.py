@@ -13,7 +13,6 @@ from .core import (
     DEFAULT_TOL,
     CMat6,
     ColVec6,
-    inner,
     unitarity_residual,
     modulus_residual,
     is_unitary,
@@ -40,7 +39,6 @@ from .families import (
 )
 from .equivalence import (
     TransformRecord,
-    identity_record,
     random_record,
     apply,
     dephase,
@@ -84,7 +82,6 @@ from .musearch import (
     verify_triple,
     scan_m6,
     render_scan_csv,
-    write_scan_csv,
 )
 
 __version__ = "0.1.0"

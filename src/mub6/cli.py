@@ -34,7 +34,7 @@ from .core import (
 from .equivalence import dephase, to_lemma_form
 from .errors import InvalidInput, Mub6Error
 from .families import b6, fourier_f6, m6, s6
-from .musearch import OptimConfig, scan_m6, write_scan_csv
+from .musearch import OptimConfig, render_scan_csv, scan_m6
 from .refutation import VERDICT_REFUTED, run_counterexample
 
 __all__ = ["main", "build_parser"]
@@ -140,7 +140,7 @@ def _load_matrix(path):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         return matrix_from_json(text)
-    except (OSError, InvalidInput) as exc:
+    except (OSError, UnicodeDecodeError, InvalidInput) as exc:
         raise _CliError(3, f"cannot read matrix from {path}: {exc}")
 
 
@@ -272,10 +272,13 @@ def _cmd_refute(parser, args) -> int:
 def _cmd_scan(parser, args) -> int:
     if args.steps < 1:
         parser.error("--steps must be >= 1")
+    if not (math.isfinite(args.t_from) and math.isfinite(args.t_to)):
+        parser.error("--t-from and --t-to must be finite")
     cfg = OptimConfig(starts=args.starts, seed=args.seed)
     ts = [float(x) for x in np.linspace(args.t_from, args.t_to, args.steps)]
     rows = scan_m6(ts, cfg)
-    write_scan_csv(rows, cfg, args.out, timing=args.timing)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(render_scan_csv(rows, cfg, timing=args.timing))
     flagged = sum(1 for r in rows if r.error is not None)
     print(f"wrote {len(rows)} rows to {args.out}" +
           (f" ({flagged} flagged invalid)" if flagged else ""))

@@ -29,7 +29,6 @@ __all__ = [
     "ColVec6",
     "as_matrix",
     "as_vector",
-    "inner",
     "is_unitary",
     "is_hadamard",
     "modulus_residual",
@@ -85,10 +84,6 @@ class CMat6:
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_array(self.entries, (6, 6), "entries"))
 
-    def col(self, j):
-        """Column j (0-based) as a plain array."""
-        return np.array(self.entries[:, j])
-
     def relabel(self, label):
         return CMat6(self.entries, label)
 
@@ -98,7 +93,6 @@ class ColVec6:
     """An immutable length-6 complex column vector."""
 
     entries: np.ndarray
-    label: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_array(self.entries, (6,), "entries"))
@@ -115,11 +109,6 @@ def as_vector(v) -> np.ndarray:
     if isinstance(v, ColVec6):
         return v.entries
     return _frozen_array(v, (6,), "vector")
-
-
-def inner(u, v) -> complex:
-    """Hermitian inner product, conjugate-linear in the first argument."""
-    return complex(np.vdot(as_vector(u), as_vector(v)))
 
 
 def _saturated(x) -> float:
@@ -194,6 +183,8 @@ def matrix_from_json(text: str) -> CMat6:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInput("not valid JSON: nested too deeply") from exc
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise InvalidInput("JSON object must contain a 'matrix' key")
     m = obj["matrix"]
@@ -206,14 +197,15 @@ def matrix_from_json(text: str) -> CMat6:
         for j, cell in enumerate(row):
             if not (isinstance(cell, list) and len(cell) == 2):
                 raise InvalidInput(f"entry ({i},{j}) must be a [re, im] pair")
-            re, im = cell
-            if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+            # JSON true/false parse to bool, a subclass of int, but are not numbers
+            if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell):
                 raise InvalidInput(f"entry ({i},{j}) has non-numeric parts")
+            re, im = cell
             try:
                 entries[i, j] = complex(re, im)
             except OverflowError as exc:
                 raise InvalidInput(f"entry ({i},{j}) does not fit a double: {exc}") from exc
-    label = obj.get("label") or None
+    label = obj.get("label")
     if label is not None and not isinstance(label, str):
         raise InvalidInput("'label' must be a string")
-    return CMat6(entries, label)
+    return CMat6(entries, label or None)

@@ -11,25 +11,28 @@ residual.
 Converged starts are deduplicated greedily in phase space (angular distance
 with wraparound; each kept representative drops its near-duplicates among
 the later starts in one array test).  ``extract_bases`` returns the
-orthonormal sextets among them, enumerated in index order, and
-``verify_triple`` certifies each as a basis B making {I, H, B} pairwise
-mutually unbiased.  The enumeration requires eq_tol <= 1/6: below that bound
-seven unit vectors cannot be pairwise orthogonal in C^6 (their Gram matrix
-would be positive definite), so no orthogonality clique exceeds six.
-``scan_m6`` sweeps the symmetric family at the default thresholds and
-serializes rows to a CSV whose bytes are reproducible for a fixed seed.
+orthonormal sextets among them, enumerated in index order from one table of
+pairwise column inner products, and ``verify_triple`` confirms each by
+computations that table did not make: B B^H = I over the rows, the entry
+moduli, and unbiasedness to H, so {I, H, B} is pairwise mutually unbiased.
+The enumeration requires eq_tol <= 1/6: below that bound seven unit vectors
+cannot be pairwise orthogonal in C^6 (their Gram matrix would be positive
+definite), so no orthogonality clique exceeds six.  ``scan_m6`` sweeps the
+symmetric family at the default thresholds, and ``render_scan_csv``
+serializes its rows to CSV text whose bytes are reproducible for a fixed
+seed.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from typing import ClassVar
 
 import numpy as np
 
-from .core import DEFAULT_TOL, SQRT6, ColVec6, Tolerances, as_matrix, modulus_residual
+from .core import DEFAULT_TOL, SQRT6, ColVec6, Tolerances, as_matrix, is_hadamard
 from .errors import DomainError, InvalidInput
 from .families import m6
 
@@ -44,7 +47,6 @@ __all__ = [
     "verify_triple",
     "scan_m6",
     "render_scan_csv",
-    "write_scan_csv",
 ]
 
 CSV_HEADER = "t,a_re,a_im,n_mu_vectors,n_bases,n_triples,max_residual,starts,seed,wall_time_s"
@@ -231,8 +233,9 @@ def find_mu_vectors(H, cfg: OptimConfig = OptimConfig(), rng=None):
 
 def extract_bases(vectors, tol: Tolerances = DEFAULT_TOL):
     """Every orthonormal sextet among the given vectors, enumerated in index
-    order: the 6-cliques of the graph |<u, v>| < eq_tol, each re-verified
-    pairwise, as ascending index tuples in lexicographic order.
+    order: the 6-cliques of the graph |<u, v>| < eq_tol, as ascending index
+    tuples in lexicographic order.  The graph is built once from all the
+    pairwise inner products; verify_triple confirms a sextet independently.
 
     Requires eq_tol <= 1/6 (else InvalidInput): seven unit vectors with
     pairwise |<u, v>| < 1/6 would have a positive definite 7x7 Gram matrix
@@ -257,22 +260,19 @@ def extract_bases(vectors, tol: Tolerances = DEFAULT_TOL):
                 extend(clique + (int(k),), candidates & later[k])
 
     extend((), np.ones(len(V), dtype=bool))
-    return [
-        sub for sub in sextets
-        if all(abs(np.vdot(vectors[i].vector.entries, vectors[j].vector.entries)) < tol.eq_tol
-               for i, j in combinations(sub, 2))
-    ]
+    return sextets
 
 
 def verify_triple(H, vectors, clique, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Certify that the clique's six vectors form an orthonormal basis B
-    making {I, H, B} pairwise mutually unbiased, by direct inner products."""
+    """Certify that the clique's six vectors, as the columns of B, form an
+    orthonormal basis making {I, H, B} pairwise mutually unbiased.
+
+    B must be Hadamard at tol: the row test B B^H = I and the moduli are
+    computations extract_bases did not make, since it compared columns.
+    Then every |<h_j, b_k>|^2 must be 1/6 within residual_tol."""
     A = as_matrix(H)
     B = np.stack([np.asarray(vectors[i].vector.entries) for i in clique], axis=1)
-    gram = B.conj().T @ B
-    if np.max(np.abs(gram - np.eye(6))) >= tol.eq_tol:
-        return False
-    if modulus_residual(B) >= tol.eq_tol:
+    if not is_hadamard(B, tol):
         return False
     cross = np.abs(A.conj().T @ B) ** 2
     return bool(np.max(np.abs(6.0 * cross - 1.0)) < tol.residual_tol)
@@ -313,10 +313,11 @@ def scan_m6(t_values, cfg: OptimConfig = OptimConfig()):
 def render_scan_csv(rows, cfg: OptimConfig, timing: bool = False) -> str:
     """CSV text for the rows.  Floats use shortest round-trip formatting.
     wall_time_s is written as 0.000000 unless timing is requested, keeping
-    repeated runs byte-identical."""
+    repeated runs byte-identical.  A non-finite t has no a = e^{it}: its
+    a_re and a_im are written as nan."""
     lines = [CSV_HEADER]
     for row in rows:
-        a = np.exp(1j * row.t)
+        a = np.exp(1j * row.t) if math.isfinite(row.t) else complex(math.nan, math.nan)
         wall = f"{row.wall_time:.6f}" if timing else "0.000000"
         lines.append(",".join([
             repr(float(row.t)),
@@ -331,9 +332,3 @@ def render_scan_csv(rows, cfg: OptimConfig, timing: bool = False) -> str:
             wall,
         ]))
     return "\n".join(lines) + "\n"
-
-
-def write_scan_csv(rows, cfg: OptimConfig, path, timing: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_scan_csv(rows, cfg, timing=timing))
-

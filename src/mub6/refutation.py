@@ -131,18 +131,19 @@ def run_counterexample(t: float, tol: Tolerances = DEFAULT_TOL) -> LemmaReport:
     )
 
 
-def verify_tail_structure(c2_tail, tol: Tolerances = DEFAULT_TOL):
+def verify_tail_structure(c2_tail):
     """Match three unimodular values against the multiset {-1, s, -s}.
 
     Inputs are expected pre-scaled to modulus 1 (raw entries times sqrt(6)).
     Returns s canonicalized to Im(s) >= 0 (exact-real pairs canonicalize to
     s = 1), or None when the pattern is absent.  The values must also sum
-    to -1 within eq_tol, the premise the pattern encodes.
+    to -1 within eq_tol, the premise the pattern encodes.  All tests are
+    made at the default eq_tol.
     """
     z = np.asarray(c2_tail, dtype=complex).reshape(-1)
     if z.shape != (3,):
         raise InvalidInput("tail must consist of exactly three values")
-    eq = tol.eq_tol
+    eq = DEFAULT_TOL.eq_tol
     if not np.max(np.abs(np.abs(z) - 1.0)) <= eq:
         raise InvalidInput("tail values must be unimodular")
     if abs(np.sum(z) + 1.0) > eq:
@@ -158,15 +159,11 @@ def verify_tail_structure(c2_tail, tol: Tolerances = DEFAULT_TOL):
     return complex(1.0)
 
 
-def _orthogonality_residuals(c1, c2, v):
-    return float(abs(np.vdot(c1, v))), float(abs(np.vdot(c2, v)))
-
-
 _W = np.exp(-1j * np.pi / 3.0)
 _WITNESS = np.array([1.0, _W**2, 1.0, _W**2, -_W, -_W]) / SQRT6
 
 
-def third_column_witness(s: complex, tol: Tolerances = DEFAULT_TOL) -> ThirdColumnWitness:
+def third_column_witness(s: complex) -> ThirdColumnWitness:
     """A unimodular v/sqrt(6) orthogonal to c1 = (1, ..., 1)/sqrt(6) and
     c2 = (1, 1, -1, -1, s, -s)/sqrt(6), in closed form.
 
@@ -176,12 +173,12 @@ def third_column_witness(s: complex, tol: Tolerances = DEFAULT_TOL) -> ThirdColu
     of unity; and 6 <c2, v> = (x1 + x2 - x3 - x4) + conj(s)(x5 - x6) = 0,
     as x1 = x3, x2 = x4 and x5 = x6, whatever s is.  The residuals
     |<c1, v>| and |<c2, v>| are re-computed by direct inner products with
-    the columns built from s.
+    the columns built from s.  s must be unimodular at the default eq_tol.
     """
     s = complex(s)
-    if not abs(abs(s) - 1.0) <= tol.eq_tol:
+    if not abs(abs(s) - 1.0) <= DEFAULT_TOL.eq_tol:
         raise InvalidInput("s must be unimodular")
     c1 = np.ones(6, dtype=complex) / SQRT6
     c2 = np.array([1.0, 1.0, -1.0, -1.0, s, -s]) / SQRT6
-    return ThirdColumnWitness(s=s, v=ColVec6(_WITNESS),
-                              residuals=_orthogonality_residuals(c1, c2, _WITNESS))
+    residuals = float(abs(np.vdot(c1, _WITNESS))), float(abs(np.vdot(c2, _WITNESS)))
+    return ThirdColumnWitness(s=s, v=ColVec6(_WITNESS), residuals=residuals)

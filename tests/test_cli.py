@@ -50,11 +50,18 @@ def test_t_and_t_deg_conflict(capsys):
 
 
 def test_parse_error_exits_3(capsys, tmp_path):
+    """Malformed files, non-UTF-8 bytes and JSON nested past the recursion
+    limit included, end in one error line and exit 3, not a traceback."""
+    ones = [[[1, 0]] * 6] * 6
     p = tmp_path / "bad.json"
-    p.write_text("{ not json")
-    code, _, err = run(capsys, "check", "--in", p)
-    assert code == 3
-    assert "error" in err
+    for content in [b"{ not json", b"\xff\xfe{}", b"[" * 200000,
+                    json.dumps({"label": "", "matrix": [[[True, False]] * 6] * 6}).encode(),
+                    json.dumps({"label": 0, "matrix": ones}).encode()]:
+        p.write_bytes(content)
+        for command in ("check", "normalize", "analyze"):
+            code, out, err = run(capsys, command, "--in", p)
+            assert (code, out) == (3, "")
+            assert len(err.splitlines()) == 1 and err.startswith("mub6: error:")
 
 
 def test_missing_file_exits_3(capsys, tmp_path):
@@ -156,6 +163,16 @@ def test_families_show_refuses_parameters_the_family_does_not_take(capsys, argv)
     code, out, err = run(capsys, "families", "show", *argv)
     assert (code, out) == (1, "")
     assert "does not apply to" in err
+
+
+def test_families_show_f6_at_huge_and_non_finite_phases(capsys):
+    code, out, _ = run(capsys, "families", "show", "--family", "f6", "--x1", "100000000")
+    assert code == 0
+    assert mub6.is_hadamard(mub6.matrix_from_json(out))
+    for flag in ("--x1", "--x2"):
+        code, out, err = run(capsys, "families", "show", "--family", "f6", flag, "inf")
+        assert (code, out) == (1, "")
+        assert err.startswith("mub6: error:") and "finite" in err
 
 
 def test_families_show_f6_defaults_the_missing_phase(capsys):
@@ -430,6 +447,18 @@ def test_scan_tolerance_does_not_flag_admissible_points(capsys, tmp_path, monkey
     rows = [line.split(",") for line in text.splitlines()[1:]]
     assert len(rows) == steps
     assert all(int(r[3]) > 0 for r in rows)
+
+
+@pytest.mark.parametrize("bounds", [("2", "inf"), ("nan", "2"), ("-inf", "2"), ("2", "nan")])
+def test_scan_refuses_non_finite_bounds(capsys, tmp_path, bounds):
+    """np.linspace from 2 to inf gives t = nan, inf, inf: the requested
+    start is lost, so a non-finite bound is a usage error."""
+    out = tmp_path / "scan.csv"
+    code, msg, err = run(capsys, "scan", "--family", "m6", f"--t-from={bounds[0]}",
+                         f"--t-to={bounds[1]}", "--steps", "3", "--starts", "10", "--out", out)
+    assert (code, msg) == (1, "")
+    assert err.splitlines()[-1] == "mub6: error: --t-from and --t-to must be finite"
+    assert not out.exists()
 
 
 def test_scan_refuses_negative_seed(capsys, tmp_path):

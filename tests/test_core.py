@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from mub6 import (
     InvalidInput,
     SQRT6,
     Tolerances,
-    inner,
     is_hadamard,
     is_unitary,
     matrix_from_json,
@@ -43,11 +43,13 @@ def test_tolerances_validation():
 
 
 @pytest.mark.parametrize("func", [mub6.dephase, mub6.submatrix_rank, mub6.is_product_vector,
-                                  mub6.product_triple_exists, mub6.b6],
+                                  mub6.product_triple_exists, mub6.b6,
+                                  mub6.verify_tail_structure, mub6.third_column_witness],
                          ids=lambda f: f.__name__)
 def test_no_tolerance_where_none_decides(func):
     """These read no eq_tol: dephase's 1e-12 guard and the rank cutoff are
-    fixed, and b6 verifies its member at the default.  Nor does the MU
+    fixed, b6 verifies its member at the default, and the tail match and
+    the witness test their inputs at the default.  Nor does the MU
     search: its dedupe radius is fixed and OptimConfig takes no tolerance."""
     assert "tol" not in inspect.signature(func).parameters
     assert [f.name for f in dataclasses.fields(Tolerances)] == ["eq_tol"]
@@ -71,20 +73,13 @@ def test_cmat6_shape_and_immutability():
         CMat6(np.zeros((5, 6), dtype=complex))
 
 
-def test_cmat6_col_and_relabel():
+def test_cmat6_relabel():
     rng = np.random.default_rng(11)
     A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     H = CMat6(A, "x")
-    c = H.col(3)
-    assert np.array_equal(c, A[:, 3])
     assert H.relabel("y").label == "y"
+    assert np.array_equal(H.relabel("y").entries, A)
     assert H.label == "x"
-
-
-def test_inner_conjugates_first_argument():
-    u = np.array([1j, 0, 0, 0, 0, 0], dtype=complex)
-    v = np.array([1.0, 0, 0, 0, 0, 0], dtype=complex)
-    assert inner(u, v) == pytest.approx(-1j)
 
 
 def test_unitarity_residual_identity():
@@ -127,15 +122,20 @@ def test_json_precision_survives_seventeen_digits():
     '{"label": "x"}',
     '{"matrix": [[1,2],[3,4]]}',
     '{"matrix": [[[1]]] }',
+    pytest.param("[" * 200000, id="nested-200000-deep"),
+    pytest.param(json.dumps({"label": "", "matrix": [[[True, False]] * 6] * 6}), id="boolean-entries"),
+    pytest.param(json.dumps({"label": 0, "matrix": [[[1, 0]] * 6] * 6}), id="label-0"),
+    pytest.param(json.dumps({"label": False, "matrix": [[[1, 0]] * 6] * 6}), id="label-false"),
 ])
 def test_json_malformed_rejected(text):
+    """Each is refused as InvalidInput: JSON true/false are not numbers, and
+    matrix.schema.json types the label as a string."""
     with pytest.raises(InvalidInput):
         matrix_from_json(text)
 
 
 def test_json_non_numeric_entry_rejected(f6):
-    import json as jsonlib
-    obj = jsonlib.loads(matrix_to_json(f6))
+    obj = json.loads(matrix_to_json(f6))
     obj["matrix"][0][0] = ["a", 0.0]
     with pytest.raises(InvalidInput):
-        matrix_from_json(jsonlib.dumps(obj))
+        matrix_from_json(json.dumps(obj))

@@ -10,7 +10,6 @@ from mub6 import (
     apply,
     count_h2_submatrices,
     dephase,
-    identity_record,
     is_hadamard,
     random_record,
     to_lemma_form,
@@ -42,7 +41,8 @@ def test_record_rejects_nan_phases(side):
 
 
 def test_identity_record_is_identity(f6):
-    G = apply(f6, identity_record())
+    one = np.ones(6, dtype=complex)
+    G = apply(f6, TransformRecord((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), one, one))
     assert np.array_equal(G.entries, f6.entries)
 
 
@@ -111,7 +111,7 @@ def test_lemma_form_f6_frozen(f6):
     assert form.s is not None and abs(form.s - 1.0) < 1e-9
     assert form.record.row_perm[:3] == (1, 3, 2)
     assert form.record.col_perm[:2] == (1, 4)
-    assert not form.rank_one
+    assert (form.y, form.x) != (1, 1)
 
 
 def test_lemma_form_block_is_real(f6, m6_sample):

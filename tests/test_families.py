@@ -136,6 +136,31 @@ def test_fourier_f6_zero_param_entries():
             assert abs(F[j, k] - w ** (j * k)) < 1e-12
 
 
+def test_fourier_f6_reduces_phases_mod_two_pi():
+    """Unreduced, a phase of 1e8 added to pi j k / 3 swamps that term in
+    rounding, and the member failed its own Hadamard check.  The reduction
+    is exact, so phases in [0, 2pi) give the unreduced formula bit for bit."""
+    for x in (1e8, -1e8, 1e15, 1e300):
+        F = fourier_f6(x, -x)
+        assert is_hadamard(F)
+        assert np.array_equal(F.entries, fourier_f6(np.mod(x, 2 * PI), np.mod(-x, 2 * PI)).entries)
+    j, k = np.indices((6, 6))
+    odd = j % 2 == 1
+    rng = np.random.default_rng(8)
+    for x1, x2 in rng.uniform(0, 2 * PI, (20, 2)):
+        R = (odd & (k % 3 == 1)) * x1 + (odd & (k % 3 == 2)) * x2
+        assert np.array_equal(fourier_f6(x1, x2).entries,
+                              np.exp(1j * (PI / 3.0) * j * k + 1j * R) / SQRT6)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_fourier_f6_refuses_non_finite_phases(bad):
+    with pytest.raises(DomainError, match="finite"):
+        fourier_f6(bad, 0.0)
+    with pytest.raises(DomainError, match="finite"):
+        fourier_f6(0.0, bad)
+
+
 def test_b6_arc_and_rejections():
     assert B6_THETA_MIN == pytest.approx(np.arccos((np.sqrt(3) - 1) / 2))
     assert B6_THETA_MAX == pytest.approx(2 * PI - B6_THETA_MIN)

@@ -17,7 +17,6 @@ from mub6 import (
     residual_of,
     scan_m6,
     verify_triple,
-    write_scan_csv,
 )
 
 PI = np.pi
@@ -212,6 +211,29 @@ def test_extract_bases_in_oracle_order(family, param, eq_tol, count):
     assert len(got) == count
 
 
+def test_verify_triple_refuses_a_clique_with_perturbed_rows(f6):
+    """Rephasing the entries of one row of B by distinct small phases keeps
+    every modulus but breaks B B^H = I, so B is not Hadamard."""
+    vecs = find_mu_vectors(f6, OptimConfig(starts=2000, seed=0))
+    basis = extract_bases(vecs)[0]
+    assert verify_triple(f6, vecs, basis)
+    bent = list(vecs)
+    for k, i in enumerate(basis):
+        entries = vecs[i].vector.entries.copy()
+        entries[2] *= np.exp(1e-6j * k)
+        bent[i] = MUVector(vecs[i].phases, mub6.ColVec6(entries), vecs[i].residual)
+    assert not verify_triple(f6, bent, basis)
+
+
+def test_verify_triple_refuses_a_basis_biased_to_h(f6):
+    """A true F6 basis is orthonormal and unbiased to I and F6, but not to
+    m6(2.0), so it makes no triple with m6(2.0)."""
+    vecs = find_mu_vectors(f6, OptimConfig(starts=2000, seed=0))
+    basis = extract_bases(vecs)[0]
+    assert verify_triple(f6, vecs, basis)
+    assert not verify_triple(m6(2.0), vecs, basis)
+
+
 def test_extract_bases_refuses_eq_tol_above_one_sixth(f6):
     """Above 1/6 seven vectors can pass as pairwise orthogonal in C^6."""
     vecs = find_mu_vectors(f6, OptimConfig(starts=2000, seed=0))
@@ -259,12 +281,10 @@ def test_scan_determinism_is_seed_dependent():
     assert len(other) == 2
 
 
-def test_csv_shape_and_header(tmp_path):
+def test_csv_shape_and_header():
     cfg = OptimConfig(starts=100, seed=6)
     rows = scan_m6([0.9 * PI, 0.25 * PI], cfg)
-    out = tmp_path / "scan.csv"
-    write_scan_csv(rows, cfg, out)
-    text = out.read_text().splitlines()
+    text = render_scan_csv(rows, cfg).splitlines()
     assert text[0] == CSV_HEADER
     assert len(text) == 3
     fields = text[1].split(",")
@@ -279,6 +299,16 @@ def test_csv_shape_and_header(tmp_path):
     t = float(fields[0])
     assert float(fields[1]) == pytest.approx(np.cos(t), abs=1e-15)
     assert float(fields[2]) == pytest.approx(np.sin(t), abs=1e-15)
+
+
+def test_csv_non_finite_t_has_nan_a():
+    """A non-finite t, which only the API can pass, is a flagged row whose
+    a = e^{it} is written as nan, without a RuntimeWarning."""
+    cfg = OptimConfig(starts=10, seed=0)
+    rows = scan_m6([np.inf, np.nan, -np.inf], cfg)
+    fields = [line.split(",") for line in render_scan_csv(rows, cfg).splitlines()[1:]]
+    assert [f[0] for f in fields] == ["inf", "nan", "-inf"]
+    assert all(f[1] == f[2] == "nan" and f[3] == "-1" for f in fields)
 
 
 def test_csv_timing_flag_changes_only_last_column():

@@ -97,6 +97,8 @@ def test_lemma_form_matches_loop_scan():
             misses += 1
             continue
         c1, c2, rows = ref
+        # the record replays the form exactly; to_lemma_form leaves this to the tests
+        assert np.array_equal(mub6.apply(D, form.record).entries, form.matrix.entries)
         assert form.record.col_perm[:2] == (c1 + 1, c2 + 1)
         assert form.record.row_perm[:3] == tuple(r + 1 for r in rows)
         if (form.y, form.x) == (1, -1):
