@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Subcommands: families show, check, normalize, analyze, refute, scan.
-Exit codes: 0 success, 1 usage or domain errors (analyze: not Hadamard),
-2 failed verdict (refute: any audit failed; check: not Hadamard), 3 I/O or
-parse errors.  Machine output is JSON against the schemas in schemas/:
+Subcommands: families show, check, normalize, analyze, refute, scan.  Each
+leaf parser carries its handler, and the handler gets that parser, so a
+usage error prints the subcommand's usage line and "mub6 <subcommand>:
+error:"; domain and file errors print one "mub6: error:" line.  Exit codes:
+0 success, 1 usage or domain errors (analyze: not Hadamard), 2 failed
+verdict (refute: any audit failed; check: not Hadamard), 3 I/O or parse
+errors.  Machine output is JSON against the schemas in schemas/:
 families show, plain normalize and analyze always print it, and check,
 normalize --lemma-form and refute print it with --json (text otherwise).
 --tol, the only way to set eq_tol, applies to check, normalize --lemma-form,
@@ -78,29 +81,34 @@ def build_parser() -> _Parser:
                           help="equality tolerance eq_tol (default 1e-9)")
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="emit JSON output")
+    t_flags = argparse.ArgumentParser(add_help=False)
+    t_group = t_flags.add_mutually_exclusive_group()
+    t_group.add_argument("--t", type=float, help="m6 parameter, radians")
+    t_group.add_argument("--t-deg", type=float, dest="t_deg", help="m6 parameter, degrees")
 
     parser = _Parser(prog="mub6",
                      description="order-6 complex Hadamard matrices: families, "
                                  "structural analysis, lemma-form normalization, "
                                  "and mutually-unbiased-basis search")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    sub = parser.add_subparsers(required=True, metavar="command")
 
     fam = sub.add_parser("families", help="built-in Hadamard matrix families")
-    famsub = fam.add_subparsers(dest="families_command", required=True, metavar="action")
-    show = famsub.add_parser("show", help="print one family member as JSON")
+    famsub = fam.add_subparsers(required=True, metavar="action")
+    show = famsub.add_parser("show", parents=[t_flags], help="print one family member as JSON")
+    show.set_defaults(handler=_cmd_families_show, parser=show)
     show.add_argument("--family", required=True, choices=("m6", "f6", "b6", "s6"))
-    show.add_argument("--t", type=float, help="m6 parameter, radians")
-    show.add_argument("--t-deg", type=float, dest="t_deg", help="m6 parameter, degrees")
     show.add_argument("--x1", type=float, help="f6 first phase (default 0)")
     show.add_argument("--x2", type=float, help="f6 second phase (default 0)")
     show.add_argument("--theta", type=float, help="b6 parameter, radians")
 
     check = sub.add_parser("check", parents=[tol_flag, json_flag],
                            help="verify a JSON matrix is Hadamard / MU to the standard basis")
+    check.set_defaults(handler=_cmd_check, parser=check)
     check.add_argument("--in", dest="path", required=True, metavar="JSON")
 
     norm = sub.add_parser("normalize", parents=[tol_flag, json_flag],
                           help="dephase a matrix or put it in lemma form")
+    norm.set_defaults(handler=_cmd_normalize, parser=norm)
     norm.add_argument("--in", dest="path", required=True, metavar="JSON")
     norm.add_argument("--lemma-form", dest="lemma_form", action="store_true",
                       help="search for the normalized shape with a real upper 3x2 block")
@@ -108,16 +116,17 @@ def build_parser() -> _Parser:
     ana = sub.add_parser("analyze", parents=[tol_flag],
                          help="structural measurements (real entries, 2x2 Hadamard "
                               "submatrices, product columns)")
+    ana.set_defaults(handler=_cmd_analyze, parser=ana)
     ana.add_argument("--in", dest="path", required=True, metavar="JSON")
     ana.add_argument("--report", choices=("full", "real", "h2", "product"), default="full")
 
-    ref = sub.add_parser("refute", parents=[tol_flag, json_flag],
+    ref = sub.add_parser("refute", parents=[tol_flag, json_flag, t_flags],
                          help="run the third-column counterexample pipeline on m6(t)")
-    ref.add_argument("--t", type=float, help="family parameter, radians")
-    ref.add_argument("--t-deg", type=float, dest="t_deg", help="family parameter, degrees")
+    ref.set_defaults(handler=_cmd_refute, parser=ref)
 
     scan = sub.add_parser("scan",
                           help="sweep a family, counting MU vectors/bases/triples per point")
+    scan.set_defaults(handler=_cmd_scan, parser=scan)
     scan.add_argument("--family", required=True, choices=("m6",))
     scan.add_argument("--t-from", type=float, required=True, dest="t_from")
     scan.add_argument("--t-to", type=float, required=True, dest="t_to")
@@ -145,8 +154,6 @@ def _load_matrix(path):
 
 
 def _resolve_t(parser, args) -> float:
-    if args.t is not None and args.t_deg is not None:
-        parser.error("--t and --t-deg are mutually exclusive")
     if args.t is not None:
         return args.t
     if args.t_deg is not None:
@@ -285,23 +292,15 @@ def _cmd_scan(parser, args) -> int:
     return 0
 
 
-def _dispatch(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = {"families": _cmd_families_show, "check": _cmd_check, "normalize": _cmd_normalize,
-               "analyze": _cmd_analyze, "refute": _cmd_refute, "scan": _cmd_scan}[args.command]
-    return command(parser, args)
-
-
 def main(argv=None) -> int:
     args_list = sys.argv[1:] if argv is None else [str(a) for a in argv]
     try:
-        return _dispatch(args_list)
+        args, extra = build_parser().parse_known_args(args_list)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args.handler(args.parser, args)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 1
+        return exc.code
     except _CliError as exc:
         print(f"mub6: error: {exc}", file=sys.stderr)
         return exc.code

@@ -178,15 +178,19 @@ def matrix_to_json(M) -> str:
 
 
 def matrix_from_json(text: str) -> CMat6:
-    """Parse the JSON matrix format.  Raises InvalidInput on any defect."""
+    """Parse the JSON matrix format of schemas/matrix.schema.json: a string
+    label, a 6x6 matrix of [re, im] pairs and no other key.  Raises
+    InvalidInput on any defect."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InvalidInput("not valid JSON: nested too deeply") from exc
-    if not isinstance(obj, dict) or "matrix" not in obj:
-        raise InvalidInput("JSON object must contain a 'matrix' key")
+    if not isinstance(obj, dict) or set(obj) != {"label", "matrix"}:
+        raise InvalidInput("JSON object must have exactly the keys 'label' and 'matrix'")
+    if not isinstance(obj["label"], str):
+        raise InvalidInput("'label' must be a string")
     m = obj["matrix"]
     if not (isinstance(m, list) and len(m) == 6):
         raise InvalidInput("'matrix' must be a list of 6 rows")
@@ -205,7 +209,4 @@ def matrix_from_json(text: str) -> CMat6:
                 entries[i, j] = complex(re, im)
             except OverflowError as exc:
                 raise InvalidInput(f"entry ({i},{j}) does not fit a double: {exc}") from exc
-    label = obj.get("label")
-    if label is not None and not isinstance(label, str):
-        raise InvalidInput("'label' must be a string")
-    return CMat6(entries, label or None)
+    return CMat6(entries, obj["label"] or None)

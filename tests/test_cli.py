@@ -25,6 +25,17 @@ def validate(schemas, name, text):
     jsonschema.validate(json.loads(text), schemas[name])
 
 
+def assert_usage_error(result, argv):
+    """Exit 1, no stdout, and stderr opens with the usage line of argv's
+    subcommand and ends with an error line that names it."""
+    command = " ".join(argv[:2] if argv[0] == "families" else argv[:1])
+    code, out, err = result
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert lines[0].startswith(f"usage: mub6 {command} ")
+    assert lines[-1].startswith(f"mub6 {command}: error:")
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_usage_error_exits_1(capsys):
@@ -45,8 +56,23 @@ def test_domain_error_exits_1(capsys):
 
 
 def test_t_and_t_deg_conflict(capsys):
-    code, _, err = run(capsys, "refute", "--t", PI, "--t-deg", 180)
+    code, out, err = run(capsys, "refute", "--t", PI, "--t-deg", 180)
     assert code == 1
+    assert_usage_error((code, out, err), ["refute"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["refute", "--json"],
+    ["families", "show", "--family", "m6"],
+    ["families", "show", "--family", "b6"],
+    ["scan", "--family", "m6", "--t-from", "1", "--t-to", "2", "--steps", "0", "--out", "{out}"],
+], ids=["refute-no-t", "show-m6-no-t", "show-b6-no-theta", "scan-zero-steps"])
+def test_usage_errors_name_the_subcommand(capsys, tmp_path, argv):
+    """A rule a handler enforces after parsing is reported like one argparse
+    enforces: with the usage line of the subcommand that broke it."""
+    out = tmp_path / "scan.csv"
+    assert_usage_error(run(capsys, *(a.format(out=out) for a in argv)), argv)
+    assert not out.exists()
 
 
 def test_parse_error_exits_3(capsys, tmp_path):
@@ -56,7 +82,10 @@ def test_parse_error_exits_3(capsys, tmp_path):
     p = tmp_path / "bad.json"
     for content in [b"{ not json", b"\xff\xfe{}", b"[" * 200000,
                     json.dumps({"label": "", "matrix": [[[True, False]] * 6] * 6}).encode(),
-                    json.dumps({"label": 0, "matrix": ones}).encode()]:
+                    json.dumps({"label": 0, "matrix": ones}).encode(),
+                    json.dumps({"matrix": ones}).encode(),
+                    json.dumps({"label": None, "matrix": ones}).encode(),
+                    json.dumps({"label": "", "matrix": ones, "extra": 1}).encode()]:
         p.write_bytes(content)
         for command in ("check", "normalize", "analyze"):
             code, out, err = run(capsys, command, "--in", p)
@@ -269,6 +298,7 @@ def test_normalize_lemma_form_absent(capsys, tmp_path, schemas, s6mat):
     assert code == 0
     validate(schemas, "lemma_form.schema.json", out)
     assert json.loads(out) == {"present": False}
+    assert run(capsys, "normalize", "--in", p, "--lemma-form") == (0, "NONE\n", "")
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
@@ -457,8 +487,15 @@ def test_scan_refuses_non_finite_bounds(capsys, tmp_path, bounds):
     code, msg, err = run(capsys, "scan", "--family", "m6", f"--t-from={bounds[0]}",
                          f"--t-to={bounds[1]}", "--steps", "3", "--starts", "10", "--out", out)
     assert (code, msg) == (1, "")
-    assert err.splitlines()[-1] == "mub6: error: --t-from and --t-to must be finite"
+    assert err.splitlines()[-1] == "mub6 scan: error: --t-from and --t-to must be finite"
     assert not out.exists()
+
+
+def test_scan_unwritable_out_exits_3(capsys, tmp_path):
+    code, msg, err = run(capsys, "scan", "--family", "m6", "--t-from", "3.14", "--t-to", "3.14",
+                         "--steps", "1", "--starts", "10", "--out", tmp_path / "absent" / "x.csv")
+    assert (code, msg) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("mub6: error:")
 
 
 def test_scan_refuses_negative_seed(capsys, tmp_path):
@@ -501,6 +538,7 @@ def test_unhonoured_flags_are_usage_errors(capsys, tmp_path, argv):
     assert msg == ""
     assert "unrecognized arguments" in err
     assert not out.exists()
+    assert_usage_error((code, msg, err), argv)
 
 
 @pytest.mark.parametrize("flags", [["--tol", "1e-3"], ["--json"]])
@@ -543,6 +581,13 @@ def test_cli_flag_surface():
     surface = dict(_leaf_flags(build_parser()))
     assert surface == CLI_FLAGS
     assert sum(map(len, surface.values())) == 28
+
+
+@pytest.mark.parametrize("command", [name for name, _ in _leaf_flags(build_parser())])
+def test_help_on_every_subcommand(capsys, command):
+    code, out, err = run(capsys, *command.split(), "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: mub6 {command} ")
 
 
 # -------------------------------------------------------------- entry point

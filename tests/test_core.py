@@ -126,10 +126,21 @@ def test_json_precision_survives_seventeen_digits():
     pytest.param(json.dumps({"label": "", "matrix": [[[True, False]] * 6] * 6}), id="boolean-entries"),
     pytest.param(json.dumps({"label": 0, "matrix": [[[1, 0]] * 6] * 6}), id="label-0"),
     pytest.param(json.dumps({"label": False, "matrix": [[[1, 0]] * 6] * 6}), id="label-false"),
+    pytest.param(json.dumps({"matrix": [[[1, 0]] * 6] * 6}), id="no-label"),
+    pytest.param(json.dumps({"label": None, "matrix": [[[1, 0]] * 6] * 6}), id="label-null"),
+    pytest.param(json.dumps({"label": "", "matrix": [[[1, 0]] * 6] * 6, "extra": 1}),
+                 id="extra-key"),
+    pytest.param(json.dumps({"label": "", "matrix": [[[1, 0]] * 6] * 5}), id="five-rows"),
+    pytest.param(json.dumps({"label": "", "matrix": [[[1, 0]] * 6] * 5 + [[[1, 0]] * 5]}),
+                 id="row-of-five"),
+    pytest.param(json.dumps({"label": "", "matrix": [[[1, 0]] * 6] * 5 + [[[1, 0, 0]] * 6]}),
+                 id="cell-not-a-pair"),
+    pytest.param(json.dumps({"label": "", "matrix": [[[10**400, 0]] * 6] * 6}),
+                 id="part-beyond-double"),
 ])
 def test_json_malformed_rejected(text):
     """Each is refused as InvalidInput: JSON true/false are not numbers, and
-    matrix.schema.json types the label as a string."""
+    matrix.schema.json requires a string label and no other top-level key."""
     with pytest.raises(InvalidInput):
         matrix_from_json(text)
 

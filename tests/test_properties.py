@@ -74,13 +74,16 @@ def matrix_texts(draw):
     kind = draw(st.sampled_from(["member", "zeros", "random", "malformed"]))
     if kind == "malformed":
         return draw(st.sampled_from([
-            "", "[]", "{}", '{"matrix": 3}', '{"matrix": [[0, 0]]}',
-            json.dumps({"matrix": [[[1, 0]] * 6] * 5}),
-            json.dumps({"matrix": [[["a", 0]] * 6] * 6}),
-            json.dumps({"matrix": [[[10**400, 0]] * 6] * 6}),
+            "", "[]", "{}", '{"label": "", "matrix": 3}', '{"label": "", "matrix": [[0, 0]]}',
+            json.dumps({"label": "", "matrix": [[[1, 0]] * 6] * 5}),
+            json.dumps({"label": "", "matrix": [[["a", 0]] * 6] * 6}),
+            json.dumps({"label": "", "matrix": [[[10**400, 0]] * 6] * 6}),
             json.dumps({"matrix": [[[1, 0]] * 6] * 6, "label": 7}),
-            '{"matrix": [' + ",".join(["[" + ",".join(["[NaN, 0]"] * 6) + "]"] * 6) + "]}",
-            '{"matrix": [' + ",".join(["[" + ",".join(["[1e400, 0]"] * 6) + "]"] * 6) + "]}",
+            json.dumps({"matrix": [[[1, 0]] * 6] * 6}),
+            '{"label": "", "matrix": ['
+            + ",".join(["[" + ",".join(["[NaN, 0]"] * 6) + "]"] * 6) + "]}",
+            '{"label": "", "matrix": ['
+            + ",".join(["[" + ",".join(["[1e400, 0]"] * 6) + "]"] * 6) + "]}",
         ]))
     if kind == "random":
         parts = draw(st.lists(finite, min_size=72, max_size=72))
