@@ -3,15 +3,15 @@
 Subcommands: families show, check, normalize, analyze, refute, scan.  Each
 leaf parser carries its handler, and the handler gets that parser, so a
 usage error prints the subcommand's usage line and "mub6 <subcommand>:
-error:"; domain and file errors print one "mub6: error:" line.  Exit codes:
-0 success, 1 usage or domain errors (analyze: not Hadamard), 2 failed
+error:"; other errors print one "mub6: error:" line.  Exit codes: 0 success,
+1 usage, domain or out-of-memory errors (analyze: not Hadamard), 2 failed
 verdict (refute: any audit failed; check: not Hadamard), 3 I/O or parse
-errors.  Machine output is JSON against the schemas in schemas/:
-families show, plain normalize and analyze always print it, and check,
-normalize --lemma-form and refute print it with --json (text otherwise).
---tol, the only way to set eq_tol, applies to check, normalize --lemma-form,
-analyze and refute.  No environment variable is read.  Only scan, which
-writes CSV, is seeded.
+errors.  Machine output is JSON against the schemas in schemas/: families
+show, plain normalize and analyze always print it, and check, normalize
+--lemma-form and refute print it with --json (text otherwise).  --tol, the
+only way to set eq_tol, applies to check, normalize --lemma-form and
+analyze; refute audits at the default, so t alone sets its verdict.  No
+environment variable is read.  Only scan, which writes CSV, is seeded.
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ def build_parser() -> _Parser:
                           help="equality tolerance eq_tol (default 1e-9)")
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="emit JSON output")
-    t_flags = argparse.ArgumentParser(add_help=False)
-    t_group = t_flags.add_mutually_exclusive_group()
-    t_group.add_argument("--t", type=float, help="m6 parameter, radians")
-    t_group.add_argument("--t-deg", type=float, dest="t_deg", help="m6 parameter, degrees")
 
     parser = _Parser(prog="mub6",
                      description="order-6 complex Hadamard matrices: families, "
@@ -94,9 +90,10 @@ def build_parser() -> _Parser:
 
     fam = sub.add_parser("families", help="built-in Hadamard matrix families")
     famsub = fam.add_subparsers(required=True, metavar="action")
-    show = famsub.add_parser("show", parents=[t_flags], help="print one family member as JSON")
+    show = famsub.add_parser("show", help="print one family member as JSON")
     show.set_defaults(handler=_cmd_families_show, parser=show)
     show.add_argument("--family", required=True, choices=("m6", "f6", "b6", "s6"))
+    show.add_argument("--t", type=float, help="m6 parameter, radians")
     show.add_argument("--x1", type=float, help="f6 first phase (default 0)")
     show.add_argument("--x2", type=float, help="f6 second phase (default 0)")
     show.add_argument("--theta", type=float, help="b6 parameter, radians")
@@ -120,9 +117,10 @@ def build_parser() -> _Parser:
     ana.add_argument("--in", dest="path", required=True, metavar="JSON")
     ana.add_argument("--report", choices=("full", "real", "h2", "product"), default="full")
 
-    ref = sub.add_parser("refute", parents=[tol_flag, json_flag, t_flags],
+    ref = sub.add_parser("refute", parents=[json_flag],
                          help="run the third-column counterexample pipeline on m6(t)")
     ref.set_defaults(handler=_cmd_refute, parser=ref)
+    ref.add_argument("--t", type=float, required=True, help="m6 parameter, radians")
 
     scan = sub.add_parser("scan",
                           help="sweep a family, counting MU vectors/bases/triples per point")
@@ -153,21 +151,15 @@ def _load_matrix(path):
         raise _CliError(3, f"cannot read matrix from {path}: {exc}")
 
 
-def _resolve_t(parser, args) -> float:
-    if args.t is not None:
-        return args.t
-    if args.t_deg is not None:
-        return math.radians(args.t_deg)
-    parser.error("one of --t / --t-deg is required")
-
-
 def _cmd_families_show(parser, args) -> int:
-    takes = {"m6": ("t", "t_deg"), "f6": ("x1", "x2"), "b6": ("theta",), "s6": ()}[args.family]
-    for name in ("t", "t_deg", "x1", "x2", "theta"):
+    takes = {"m6": ("t",), "f6": ("x1", "x2"), "b6": ("theta",), "s6": ()}[args.family]
+    for name in ("t", "x1", "x2", "theta"):
         if getattr(args, name) is not None and name not in takes:
-            parser.error(f"--{name.replace('_', '-')} does not apply to {args.family}")
+            parser.error(f"--{name} does not apply to {args.family}")
     if args.family == "m6":
-        H = m6(_resolve_t(parser, args))
+        if args.t is None:
+            parser.error("--t is required for m6")
+        H = m6(args.t)
     elif args.family == "f6":
         H = fourier_f6(*(0.0 if x is None else x for x in (args.x1, args.x2)))
     elif args.family == "b6":
@@ -252,9 +244,7 @@ def _cmd_analyze(parser, args) -> int:
 
 
 def _cmd_refute(parser, args) -> int:
-    tol = _tolerances(args)
-    t = _resolve_t(parser, args)
-    rep = run_counterexample(t, tol)
+    rep = run_counterexample(args.t)
     if args.json:
         payload = _jsonable(rep)
         del payload["matrix"]
@@ -279,12 +269,14 @@ def _cmd_refute(parser, args) -> int:
 def _cmd_scan(parser, args) -> int:
     if args.steps < 1:
         parser.error("--steps must be >= 1")
+    if args.steps > np.iinfo(np.intp).max // 8:     # numpy's cap on one float64 array
+        parser.error("--steps exceeds what one array of parameters can hold")
     if not (math.isfinite(args.t_from) and math.isfinite(args.t_to)):
         parser.error("--t-from and --t-to must be finite")
     cfg = OptimConfig(starts=args.starts, seed=args.seed)
     ts = [float(x) for x in np.linspace(args.t_from, args.t_to, args.steps)]
-    rows = scan_m6(ts, cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
+        rows = scan_m6(ts, cfg)
         fh.write(render_scan_csv(rows, cfg, timing=args.timing))
     flagged = sum(1 for r in rows if r.error is not None)
     print(f"wrote {len(rows)} rows to {args.out}" +
@@ -307,7 +299,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"mub6: error: {exc}", file=sys.stderr)
         return 3
-    except Mub6Error as exc:
+    except (Mub6Error, MemoryError) as exc:
         print(f"mub6: error: {exc}", file=sys.stderr)
         return 1
 

@@ -82,6 +82,7 @@ def solve_m6_entries(a: complex, tol: Tolerances = DEFAULT_TOL):
         f + g = (a^2 + 2a - 1) / 2
 
     and unimodularity splits each sum into a conjugate-symmetric pair.
+    d + e is formed as -a Re(a), equal for |a| = 1: 1 + a^2 cancels near +-i.
     The branch signs are fixed to the one continuous in t that passes
     through t = pi; the remaining orthogonality relations then hold
     identically.  Only the domain of a is checked here: m6 verifies the
@@ -93,7 +94,7 @@ def solve_m6_entries(a: complex, tol: Tolerances = DEFAULT_TOL):
         raise DomainError("a = 1 is an excluded parameter of the family")
     aa = a * a
     b, c = _pair_from_sum((aa - 2.0 * a - 1.0) / 2.0)
-    d, e = _pair_from_sum(-(1.0 + aa) / 2.0)
+    d, e = _pair_from_sum(-a * a.real)
     f, g = _pair_from_sum((aa + 2.0 * a - 1.0) / 2.0)
     return b, c, d, e, f, g
 

@@ -85,6 +85,8 @@ class OptimConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise InvalidInput("starts must be >= 1")
+        if self.starts > np.iinfo(np.intp).max // 40:    # numpy's cap on the (starts, 5) draw
+            raise InvalidInput("starts exceed what one array of start phases can hold")
         if not self.seed >= 0:
             raise InvalidInput("seed must be >= 0")
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, SQRT6, ColVec6, CMat6, Tolerances, modulus_residual,
-                   unitarity_residual)
+from .core import DEFAULT_TOL, SQRT6, ColVec6, CMat6, modulus_residual, unitarity_residual
 from .equivalence import TransformRecord, apply, split_tail
 from .errors import InvalidInput
 from .families import m6
@@ -75,12 +74,13 @@ class ThirdColumnWitness:
     residuals: tuple
 
 
-def run_counterexample(t: float, tol: Tolerances = DEFAULT_TOL) -> LemmaReport:
+def run_counterexample(t: float) -> LemmaReport:
     """Normalize m6(t) to lemma form by the fixed recipe and audit the claim.
 
     Recipe: multiply column 2 by conj(a), lift rows 3..6 above rows 1..2,
     then rephase columns 3..6 so the new first row is constant.  All of it
-    is carried by one replayable TransformRecord.  Any failed audit gives NOT_REFUTED.
+    is carried by one replayable TransformRecord.  Audits use the default
+    eq_tol, so t alone sets the verdict; any failed audit gives NOT_REFUTED.
     """
     H = m6(t)
     U = H.entries * SQRT6
@@ -95,10 +95,10 @@ def run_counterexample(t: float, tol: Tolerances = DEFAULT_TOL) -> LemmaReport:
     M = apply(H, record)
     A = M.entries
 
+    eq = DEFAULT_TOL.eq_tol
     hadamard_residual = max(unitarity_residual(M), modulus_residual(M))
-    is_hadamard_ok = hadamard_residual < tol.eq_tol
+    is_hadamard_ok = hadamard_residual < eq
 
-    eq = tol.eq_tol
     border = np.concatenate([A[0, :], A[:, 0]]) * SQRT6
     c2 = A[:, 1] * SQRT6
     lemma_form_ok = bool(

@@ -71,6 +71,14 @@ def test_m6_hadamard_and_symmetric_on_grid():
         assert unitarity_residual(A) < 1e-9
 
 
+@pytest.mark.parametrize("start", [PI / 2, 1.5 * PI])
+def test_m6_hadamard_just_inside_each_arc(start):
+    """Near a = +-i, 1 + a^2 cancels; m6 must still pass its own check."""
+    for offset in 10.0 ** np.linspace(-15, -1, 200):
+        H = m6(start + offset)
+        assert unitarity_residual(H) < 1e-14, offset
+
+
 def test_m6_layout_row_structure():
     """First row flat, second row (1,-1,a,a,-a,-a)/sqrt(6), rows 3/4 and 5/6
     relate by the same two-entry swap in both halves."""

@@ -93,6 +93,20 @@ def test_tail_structure_sum_premise():
     assert verify_tail_structure(z) is None
 
 
+def test_tail_structure_on_sum_off_pattern():
+    """Unimodular, summing to -1 within eq_tol, with no entry at -1.
+
+    Exactly, no such triple exists: four unit vectors summing to zero pair
+    into opposites, so {1, z1, z2, z3} holds a -1.  Near (-1, 1, -1) the
+    sum error is quadratic: (-e^{ia}, e^{i(a+g)}, -e^{ig}) sums to about
+    -1 - a g, while its outer entries stay a and g away from -1."""
+    a = g = 2e-5
+    triple = (-np.exp(1j * a), np.exp(1j * (a + g)), -np.exp(1j * g))
+    assert abs(sum(triple) + 1.0) < 1e-9
+    assert min(abs(z + 1.0) for z in triple) > 1e-5
+    assert verify_tail_structure(triple) is None
+
+
 def test_tail_structure_randomized_recognition():
     rng = np.random.default_rng(77)
     for _ in range(300):
