@@ -185,6 +185,7 @@ def test_families_show_round_trip(capsys, tmp_path, schemas, argv, builder):
     ("--family", "m6", "--t", "3", "--theta", "2"),
     ("--family", "m6", "--t", "3", "--x1", "0.5"),
     ("--family", "s6", "--t", "3"),
+    ("--family", "f6", "--t", "1.5"),
     ("--family", "f6", "--x1", "0.5", "--theta", "2"),
     ("--family", "b6", "--theta", "2", "--x2", "0.1"),
 ])
