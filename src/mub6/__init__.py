@@ -76,7 +76,6 @@ from .musearch import (
     ScanRow,
     CSV_HEADER,
     mu_objective,
-    residual_of,
     find_mu_vectors,
     extract_bases,
     verify_triple,

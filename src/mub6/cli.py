@@ -271,8 +271,8 @@ def _cmd_scan(parser, args) -> int:
         parser.error("--steps must be >= 1")
     if args.steps > np.iinfo(np.intp).max // 8:     # numpy's cap on one float64 array
         parser.error("--steps exceeds what one array of parameters can hold")
-    if not (math.isfinite(args.t_from) and math.isfinite(args.t_to)):
-        parser.error("--t-from and --t-to must be finite")
+    if not math.isfinite(args.t_to - args.t_from):    # also false for a non-finite bound
+        parser.error("--t-from and --t-to must be finite and so must their difference")
     cfg = OptimConfig(starts=args.starts, seed=args.seed)
     ts = [float(x) for x in np.linspace(args.t_from, args.t_to, args.steps)]
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -72,7 +72,7 @@ def _pair_from_sum(S: complex):
     return half + u, half - u
 
 
-def solve_m6_entries(a: complex, tol: Tolerances = DEFAULT_TOL):
+def solve_m6_entries(a: complex):
     """Entries (b, c, d, e, f, g) completing the symmetric family at parameter a.
 
     Orthogonality of the rows forces only the pair sums:
@@ -85,10 +85,10 @@ def solve_m6_entries(a: complex, tol: Tolerances = DEFAULT_TOL):
     d + e is formed as -a Re(a), equal for |a| = 1: 1 + a^2 cancels near +-i.
     The branch signs are fixed to the one continuous in t that passes
     through t = pi; the remaining orthogonality relations then hold
-    identically.  Only the domain of a is checked here: m6 verifies the
-    matrix it assembles from these entries.
+    identically.  Only the domain of a is checked here, at the default
+    eq_tol: m6 verifies the matrix it assembles from these entries.
     """
-    if not abs(abs(a) - 1.0) <= tol.eq_tol:
+    if not abs(abs(a) - 1.0) <= DEFAULT_TOL.eq_tol:
         raise DomainError(f"parameter a must be unimodular, got |a| = {abs(a)}")
     if a == 1.0:
         raise DomainError("a = 1 is an excluded parameter of the family")
@@ -124,7 +124,7 @@ def m6(t: float, tol: Tolerances = DEFAULT_TOL) -> CMat6:
             f"t = {t} outside the admissible set (pi/2, pi] u (3pi/2, 2pi)"
         )
     a = np.exp(1j * t)
-    H = _assemble_m6(a, *solve_m6_entries(a, tol))
+    H = _assemble_m6(a, *solve_m6_entries(a))
     return _checked(CMat6(H, label=f"m6(t={t!r})"), tol)
 
 

@@ -58,8 +58,9 @@ class MUVector:
     """One accepted search result.
 
     phases are the five free angles in [0, 2pi); vector is the full
-    unit vector they parameterize; residual is the independently
-    re-evaluated unbiasedness defect max_j |6 |<h_j, v>|^2 - 1|.
+    unit vector they parameterize; residual is the unbiasedness defect
+    max_j |6 |<h_j, v>|^2 - 1|, re-evaluated from the stored vector, not
+    taken from the solver's defects.
     """
 
     phases: tuple
@@ -141,11 +142,10 @@ def mu_objective(H, phases):
     return float(G[0] @ G[0]), 2.0 * (G[0] @ J[0])
 
 
-def residual_of(H, phases):
-    """Independent unbiasedness residual, evaluated column by column."""
-    A = as_matrix(H)
-    v = _phases_to_vectors(phases)
-    return max(abs(6.0 * abs(np.vdot(A[:, j], v)) ** 2 - 1.0) for j in range(6))
+def _unbiasedness_residuals(A, V):
+    """max_j |6 |<h_j, v>|^2 - 1| for each row v of V, from the vectors
+    themselves: one product with the columns h_j of A."""
+    return np.max(np.abs(6.0 * np.abs(V @ np.conj(A)) ** 2 - 1.0), axis=1)
 
 
 def _normal_equations(r, J):
@@ -225,12 +225,10 @@ def find_mu_vectors(H, cfg: OptimConfig = OptimConfig(), rng=None):
     P, defect = solve_phases(np.conj(A), P0, _MAX_ITERS)
     P = np.mod(P[defect < Tolerances.residual_tol], 2.0 * np.pi)
     P = P[np.lexsort(P.T[::-1])]         # the order of Python's tuple sort
-    out = []
-    for i in _dedupe(P, Tolerances.cluster_tol):
-        phases = tuple(float(x) for x in P[i])
-        out.append(MUVector(phases=phases, vector=ColVec6(_phases_to_vectors(P[i])),
-                            residual=residual_of(A, P[i])))
-    return out
+    P = P[_dedupe(P, Tolerances.cluster_tol)]
+    V = _phases_to_vectors(P)
+    return [MUVector(phases=p, vector=ColVec6(v), residual=r)
+            for p, v, r in zip(P.tolist(), V, _unbiasedness_residuals(A, V))]
 
 
 def extract_bases(vectors, tol: Tolerances = DEFAULT_TOL):
@@ -276,8 +274,7 @@ def verify_triple(H, vectors, clique, tol: Tolerances = DEFAULT_TOL) -> bool:
     B = np.stack([np.asarray(vectors[i].vector.entries) for i in clique], axis=1)
     if not is_hadamard(B, tol):
         return False
-    cross = np.abs(A.conj().T @ B) ** 2
-    return bool(np.max(np.abs(6.0 * cross - 1.0)) < tol.residual_tol)
+    return bool(np.max(_unbiasedness_residuals(A, B.T)) < tol.residual_tol)
 
 
 def scan_m6(t_values, cfg: OptimConfig = OptimConfig()):

@@ -477,15 +477,18 @@ def test_scan_tolerance_does_not_flag_admissible_points(capsys, tmp_path, monkey
     assert all(int(r[3]) > 0 for r in rows)
 
 
-@pytest.mark.parametrize("bounds", [("2", "inf"), ("nan", "2"), ("-inf", "2"), ("2", "nan")])
+@pytest.mark.parametrize("bounds", [("2", "inf"), ("nan", "2"), ("-inf", "2"), ("2", "nan"),
+                                    ("1e308", "-1e308")])
 def test_scan_refuses_non_finite_bounds(capsys, tmp_path, bounds):
     """np.linspace from 2 to inf gives t = nan, inf, inf: the requested
-    start is lost, so a non-finite bound is a usage error."""
+    start is lost, so a non-finite bound is a usage error.  So is a pair of
+    finite bounds whose difference overflows, which loses the start too."""
     out = tmp_path / "scan.csv"
     code, msg, err = run(capsys, "scan", "--family", "m6", f"--t-from={bounds[0]}",
                          f"--t-to={bounds[1]}", "--steps", "3", "--starts", "10", "--out", out)
     assert (code, msg) == (1, "")
-    assert err.splitlines()[-1] == "mub6 scan: error: --t-from and --t-to must be finite"
+    assert err.splitlines()[-1] == ("mub6 scan: error: --t-from and --t-to must be finite "
+                                    "and so must their difference")
     assert not out.exists()
 
 

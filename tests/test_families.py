@@ -8,6 +8,8 @@ from mub6 import (
     DomainError,
     InvalidInput,
     SQRT6,
+    SolveError,
+    Tolerances,
     b6,
     fourier_f6,
     is_admissible_t,
@@ -51,6 +53,16 @@ def test_solver_rejects_non_unimodular_a():
         solve_m6_entries(complex("nan"))
     with pytest.raises(DomainError):
         solve_m6_entries(1.0 + 0.0j)  # a = 1 is the excluded endpoint
+
+
+def test_m6_tolerance_reaches_only_the_hadamard_check():
+    """solve_m6_entries tests |a| = 1 at the default eq_tol, so a tolerance
+    below rounding fails m6's own Hadamard check (SolveError) and never
+    calls a = exp(i t) non-unimodular (DomainError)."""
+    tight = Tolerances(eq_tol=1e-17)
+    for t in np.linspace(PI / 2, PI, 201)[1:]:
+        with pytest.raises(SolveError):
+            m6(t, tight)
 
 
 def test_m6_grid_is_fifty_admissible_points():
