@@ -249,7 +249,9 @@ ALL_SECTIONS = tuple(SECTION_FIELDS)
 
 
 def analyze(H, tol: Tolerances = DEFAULT_TOL, sections=ALL_SECTIONS) -> AnalysisReport:
-    """The requested sections; InvalidInput unless H is Hadamard at tol."""
+    """The requested sections; InvalidInput for an unknown section or a non-Hadamard H."""
+    if unknown := sorted(set(sections) - SECTION_FIELDS.keys()):
+        raise InvalidInput(f"unknown analyze sections {unknown}; known: {list(ALL_SECTIONS)}")
     if not is_hadamard(H, tol):
         raise InvalidInput("analyze needs a Hadamard matrix within the tolerance")
     fields = {"label": getattr(H, "label", None)}

@@ -1,10 +1,14 @@
 """Fixed-order complex matrix arithmetic with one explicit tolerance policy.
 
 Everything in this package works on 6x6 complex matrices whose entries,
-for a Hadamard matrix, all have modulus 1/sqrt(6).  Predicates never use a
-hidden epsilon: they take a Tolerances value, and residuals are measured
-in the entry-wise max norm so that per-entry claims ("this element must be
-zero") translate directly into the checks.
+for a Hadamard matrix, all have modulus 1/sqrt(6).  Predicates take their
+tolerance from a Tolerances value, and residuals are measured in the
+entry-wise max norm so that per-entry claims ("this element must be zero")
+translate directly into the checks.  Fixed cut-offs remain: entries below
+1e-12 count as zero, hence phaseless, in equivalence.dephase and in
+analysis._real_up_to_phase; to_lemma_form reads the (-1, s, -s) tail
+within 10 * eq_tol; and families._pair_from_sum forgives a rounding of
+1e-12 below zero under its square root.
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ class TransformRecord:
             ph = np.asarray(getattr(self, name), dtype=complex)
             if ph.shape != (6,):
                 raise InvalidInput(f"{name} must have 6 entries")
-            if not np.all(np.abs(np.abs(ph) - 1.0) <= 1e-9):    # a NaN phase fails too
+            if not np.all(np.abs(np.abs(ph) - 1.0) <= DEFAULT_TOL.eq_tol):  # NaN fails too
                 raise InvalidInput(f"{name} must be unimodular")
             ph = ph.copy()
             ph.setflags(write=False)
@@ -165,35 +165,22 @@ def to_lemma_form(H, tol: Tolerances = DEFAULT_TOL) -> LemmaForm | None:
     for y, x in ((1, -1), (1, 1)):
         hits = np.flatnonzero((S[..., 0] == y) & (S[..., 1] == x))
         if hits.size:
-            p, t = divmod(int(hits[0]), len(_ROW_TRIPLES))
-            return _build_lemma_form(A, H, *_COL_PAIRS[p].tolist(),
-                                     _ROW_TRIPLES[t].tolist(), tol)
-    return None
-
-
-def _build_lemma_form(A, H, c1, c2, rows, tol):
-    rest_rows = [r for r in range(6) if r not in rows]
-    rest_cols = [c for c in range(6) if c not in (c1, c2)]
-    row_perm = tuple(r + 1 for r in list(rows) + rest_rows)
-    col_perm = tuple(c + 1 for c in [c1, c2] + rest_cols)
-    P = A[np.ix_(np.array(row_perm) - 1, np.array(col_perm) - 1)]
-    D, drec = dephase(P)
-    rec = TransformRecord(row_perm, col_perm, drec.row_phases, drec.col_phases)
-
-    B = D.entries
-    block = B[:3, :2] * SQRT6
-    if not (np.max(np.abs(block[:, 0] - 1.0)) < tol.eq_tol * 10.0
-            and np.max(np.abs(block[:, 1].imag)) < tol.eq_tol * 10.0):
-        raise SolveError("dephasing did not make the candidate 3x2 block real")
-    y = 1 if block[1, 1].real > 0.0 else -1
-    x = 1 if block[2, 1].real > 0.0 else -1
-
+            break
+    else:
+        return None
+    # dephasing the hit makes its block real: the first column is |A[r, c1]| sqrt(6),
+    # which is_hadamard bounds, and the second the hit's real ratios times positive
+    # scales, so its signs are (1, y, x)
+    p, t = divmod(int(hits[0]), len(_ROW_TRIPLES))
+    rows, cols = _ROW_TRIPLES[t].tolist(), _COL_PAIRS[p].tolist()
+    row_perm = tuple(r + 1 for r in rows + [r for r in range(6) if r not in rows])
+    col_perm = tuple(c + 1 for c in cols + [c for c in range(6) if c not in cols])
+    D, drec = dephase(A[np.ix_(np.array(row_perm) - 1, np.array(col_perm) - 1)])
     s = None
     if (y, x) == (1, -1):
-        split = split_tail(B[3:, 1] * SQRT6, tol.eq_tol * 10.0)
+        split = split_tail(D.entries[3:, 1] * SQRT6, tol.eq_tol * 10.0)
         if split is None:
             raise SolveError("second column tail does not read (-1, s, -s)")
         s = split[1]
-
-    label = H.label if isinstance(H, CMat6) else None
-    return LemmaForm(CMat6(B, label), y, x, s, rec)
+    rec = TransformRecord(row_perm, col_perm, drec.row_phases, drec.col_phases)
+    return LemmaForm(CMat6(D.entries, H.label if isinstance(H, CMat6) else None), y, x, s, rec)

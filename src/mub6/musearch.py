@@ -289,23 +289,17 @@ def scan_m6(t_values, cfg: OptimConfig = OptimConfig()):
     for idx, t in enumerate(ts):
         start = time.perf_counter()
         try:
-            H = m6(float(t))
+            H = m6(t)
             rng = np.random.default_rng(children[idx])
             vecs = find_mu_vectors(H, cfg, rng=rng)
             bases = extract_bases(vecs)
             n_triples = sum(1 for b in bases if verify_triple(H, vecs, b))
+            counts = (len(vecs), len(bases), n_triples)
             max_res = max((v.residual for v in vecs), default=0.0)
-            rows.append(ScanRow(
-                t=float(t), n_mu_vectors=len(vecs), n_bases=len(bases),
-                n_triples=n_triples, max_residual=max_res,
-                wall_time=time.perf_counter() - start,
-            ))
+            error = None
         except DomainError as exc:
-            rows.append(ScanRow(
-                t=float(t), n_mu_vectors=-1, n_bases=-1, n_triples=-1,
-                max_residual=float("nan"), wall_time=time.perf_counter() - start,
-                error=str(exc),
-            ))
+            counts, max_res, error = (-1, -1, -1), float("nan"), str(exc)
+        rows.append(ScanRow(t, *counts, max_res, time.perf_counter() - start, error))
     return rows
 
 

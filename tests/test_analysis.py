@@ -256,3 +256,10 @@ def test_analyze_sections(f6):
     assert rep.h2_submatrix_count == 45
     assert rep.real_entry_count is None
     assert rep.product_triple_found is None
+
+
+@pytest.mark.parametrize("sections", [("bogus",), ("h2", "unitary_3x3"), "h2"],
+                         ids=["unknown", "field-name", "bare-string"])
+def test_analyze_refuses_unknown_sections(f6, sections):
+    with pytest.raises(InvalidInput, match="unknown analyze sections"):
+        analyze(f6, sections=sections)

@@ -137,6 +137,33 @@ def test_m6_continuity_within_arc():
             prev = A
 
 
+# P swaps rows and columns 2 <-> 4 and 3 <-> 5 (0-based).  a -> -a swaps the
+# pair sums b + c and f + g and keeps d + e, so m6(t + pi) = P m6(t) P.
+ARC_SWAP = [0, 1, 4, 5, 2, 3]
+
+
+def test_second_arc_is_first_arc_relabelled():
+    for t in np.linspace(PI / 2, PI, 2002)[1:-1]:
+        relabelled = m6(t).entries[np.ix_(ARC_SWAP, ARC_SWAP)]
+        assert np.max(np.abs(m6(t + PI).entries - relabelled)) < 2e-15, t
+
+
+@pytest.mark.parametrize("t, count", [(1.725, 80), (2.03, 52), (2.7, 48)])
+def test_arc_swap_maps_mu_vectors_onto_the_second_arc(t, count):
+    """v -> Pv maps the MU vectors of m6(t) one to one onto those of m6(t + pi),
+    here as found by independent searches (seeds s and s + 1) at interval
+    midpoints of the count sequence, away from its folds."""
+    for seed in (0, 1, 2):
+        first = mub6.find_mu_vectors(m6(t), mub6.OptimConfig(seed=seed))
+        second = mub6.find_mu_vectors(m6(t + PI), mub6.OptimConfig(seed=seed + 1))
+        assert len(first) == len(second) == count
+        V = np.stack([np.asarray(v.vector.entries) for v in first])[:, ARC_SWAP]
+        W = np.stack([np.asarray(v.vector.entries) for v in second])
+        close = np.max(np.abs(V[:, None, :] - W[None, :, :]), axis=2) < Tolerances.cluster_tol
+        assert np.all(close.sum(axis=0) == 1) and np.all(close.sum(axis=1) == 1)
+        assert len(mub6.extract_bases(first)) == len(mub6.extract_bases(second))
+
+
 def test_fourier_f6_hadamard_at_random_parameters():
     rng = np.random.default_rng(4)
     for _ in range(20):

@@ -99,6 +99,11 @@ def test_lemma_form_matches_loop_scan():
         c1, c2, rows = ref
         # the record replays the form exactly; to_lemma_form leaves this to the tests
         assert np.array_equal(mub6.apply(D, form.record).entries, form.matrix.entries)
+        # and the block is real, its first column 1, its signs the form's (y, x)
+        B = form.matrix.entries * SQRT6
+        assert np.max(np.abs(B[:3, :2].imag)) < 10 * EQ
+        assert np.max(np.abs(B[:3, 0] - 1.0)) < 10 * EQ
+        assert (form.y, form.x) == (np.sign(B[1, 1].real), np.sign(B[2, 1].real))
         assert form.record.col_perm[:2] == (c1 + 1, c2 + 1)
         assert form.record.row_perm[:3] == tuple(r + 1 for r in rows)
         if (form.y, form.x) == (1, -1):
@@ -107,6 +112,14 @@ def test_lemma_form_matches_loop_scan():
             assert form.s is None
         hits += 1
     assert hits > 100 and misses > 100
+
+
+@pytest.mark.parametrize("eq_tol", [1e-12, 1e-5, 0.5])
+def test_lemma_form_reads_every_tail_it_finds(eq_tol):
+    """A (1, -1) hit's tail reads (-1, s, -s) within 10 * eq_tol, so no
+    SolveError, from a tolerance near rounding to a loose one."""
+    tol = mub6.Tolerances(eq_tol)
+    assert sum(mub6.to_lemma_form(D, tol) is not None for D in INPUTS) >= 106
 
 
 # ------------------------------------------------------ real up to phases
