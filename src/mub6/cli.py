@@ -112,10 +112,10 @@ def build_parser() -> _Parser:
 
     ana = sub.add_parser("analyze", parents=[tol_flag],
                          help="structural measurements (real entries, 2x2 Hadamard "
-                              "submatrices, product columns)")
+                              "submatrices, unitary 3x3 submatrices, product columns)")
     ana.set_defaults(handler=_cmd_analyze, parser=ana)
     ana.add_argument("--in", dest="path", required=True, metavar="JSON")
-    ana.add_argument("--report", choices=("full", "real", "h2", "product"), default="full")
+    ana.add_argument("--report", choices=("full", *SECTION_FIELDS), default="full")
 
     ref = sub.add_parser("refute", parents=[json_flag],
                          help="run the third-column counterexample pipeline on m6(t)")

@@ -31,13 +31,10 @@ __all__ = [
     "DEFAULT_TOL",
     "CMat6",
     "ColVec6",
-    "as_matrix",
-    "as_vector",
     "is_unitary",
     "is_hadamard",
     "modulus_residual",
     "unitarity_residual",
-    "mod_pi_sign",
     "matrix_to_json",
     "matrix_from_json",
 ]

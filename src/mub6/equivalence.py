@@ -33,7 +33,6 @@ __all__ = [
     "apply",
     "dephase",
     "to_lemma_form",
-    "split_tail",
 ]
 
 

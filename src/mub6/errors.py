@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["Mub6Error", "InvalidInput", "DomainError", "SolveError"]
+
 
 class Mub6Error(Exception):
     """Base class for all package-specific errors."""

@@ -108,10 +108,10 @@ def run_counterexample(t: float) -> LemmaReport:
     )
 
     tail = c2[3:6]
-    split = split_tail(tail, eq)
-    # the claim fixes the order: the -1 anchor comes first
-    tail_ok = bool(split is not None and split[0] == 0 and abs(sum(tail) + 1.0) <= eq)
-    s = split[1] if tail_ok else None
+    # the claim fixes the order: (-1, s, -s)
+    tail_ok = bool(abs(tail[0] + 1.0) < eq and abs(tail[1] + tail[2]) < eq
+                   and abs(sum(tail) + 1.0) <= eq)
+    s = complex(tail[1]) if tail_ok else None
 
     moduli = tuple(float(x) for x in np.abs(A[:, 2]))
     min_modulus = min(moduli)

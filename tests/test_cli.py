@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 import jsonschema
 
 import mub6
-from mub6 import SQRT6, matrix_to_json
+from mub6 import SECTION_FIELDS, SQRT6, matrix_to_json
 from mub6.cli import build_parser, main
 
 PI = np.pi
@@ -300,6 +301,17 @@ def test_normalize_lemma_form_text_matches_json(capsys, tmp_path, f6):
         assert text[perm] == str(tuple(form["record"][perm]))
 
 
+def test_normalize_lemma_form_text_without_s(capsys, tmp_path, f6, monkeypatch):
+    """A rank-one form (y, x) = (1, 1) carries no s, and the text says so."""
+    form = dataclasses.replace(mub6.to_lemma_form(f6), y=1, x=1, s=None)
+    monkeypatch.setattr(mub6.cli, "to_lemma_form", lambda H, tol: form)
+    p = tmp_path / "f6.json"
+    p.write_text(matrix_to_json(f6))
+    code, out, _ = run(capsys, "normalize", "--in", p, "--lemma-form")
+    assert code == 0
+    assert out.splitlines()[:3] == ["y = 1", "x = 1", "s = none"]
+
+
 def test_normalize_lemma_form_absent(capsys, tmp_path, schemas, s6mat):
     p = tmp_path / "s6.json"
     p.write_text(matrix_to_json(s6mat))
@@ -329,7 +341,7 @@ def test_normalize_lemma_form_planted_block_exits_1(tmp_path, flags):
         assert "Traceback" not in proc.stderr and "error" in proc.stderr
 
 
-@pytest.mark.parametrize("report", ["full", "real", "h2", "product"])
+@pytest.mark.parametrize("report", ["full", "real", "h2", "unitary", "product"])
 def test_analyze_reports(capsys, tmp_path, schemas, f6, report):
     p = tmp_path / "f6.json"
     p.write_text(matrix_to_json(f6))
@@ -342,10 +354,21 @@ def test_analyze_reports(capsys, tmp_path, schemas, f6, report):
     if report in ("full", "h2"):
         assert rep["h2_submatrix_count"] == 45
         assert rep["h2_reducible_partition"]["rows"] == [[1, 2], [3, 4], [5, 6]]
+    if report in ("full", "unitary"):
+        assert len(rep["unitary_3x3"]) == 28
     if report in ("full", "product"):
         assert rep["product_triple_found"] is True
     if report == "real":
         assert "h2_submatrix_count" not in rep
+    if report == "unitary":
+        assert list(rep) == ["label", "unitary_3x3"]
+
+
+def test_analyze_report_choices_are_the_sections():
+    ana = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices["analyze"]
+    report = next(a for a in ana._actions if a.dest == "report")
+    assert tuple(report.choices) == ("full", *SECTION_FIELDS)
 
 
 def _run_showing_warnings(*argv):
@@ -413,6 +436,30 @@ def test_refute_just_below_two_pi(capsys):
     code, out, err = run(capsys, "refute", "--t", "6.283185307179585")
     assert (code, err) == (0, "")
     assert "verdict: LEMMA_CLAIM_REFUTED" in out
+
+
+@pytest.fixture
+def failed_tail(monkeypatch):
+    """refute sees a report whose tail audit failed."""
+    rep = dataclasses.replace(mub6.run_counterexample(PI), tail_ok=False, s=None,
+                              verdict=mub6.VERDICT_NOT_REFUTED)
+    monkeypatch.setattr(mub6.cli, "run_counterexample", lambda t: rep)
+
+
+def test_refute_failed_audit_exits_2(capsys, failed_tail):
+    code, out, _ = run(capsys, "refute", "--t", PI)
+    assert code == 2
+    lines = out.splitlines()
+    assert "tail (-1, s, -s):    FAIL" in lines
+    assert lines[-1] == "verdict: NOT_REFUTED"
+
+
+def test_refute_failed_audit_json_exits_2(capsys, schemas, failed_tail):
+    code, out, _ = run(capsys, "refute", "--t", PI, "--json")
+    assert code == 2
+    validate(schemas, "lemma_report.schema.json", out)
+    rep = json.loads(out)
+    assert (rep["s"], rep["tail_ok"], rep["verdict"]) == (None, False, "NOT_REFUTED")
 
 
 def test_refute_text_audit_lines(capsys):

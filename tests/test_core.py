@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import inspect
 import json
 
@@ -150,3 +151,20 @@ def test_json_non_numeric_entry_rejected(f6):
     obj["matrix"][0][0] = ["a", 0.0]
     with pytest.raises(InvalidInput):
         matrix_from_json(json.dumps(obj))
+
+
+MODULES = ("core", "errors", "families", "equivalence", "analysis", "refutation", "musearch")
+
+
+def test_package_exports_exactly_the_modules_all():
+    """Each module's __all__ is the one list of its public names: mub6
+    exports their union, each name once, and nothing else."""
+    modules = [importlib.import_module(f"mub6.{name}") for name in MODULES]
+    declared = [name for module in modules for name in module.__all__]
+    assert len(declared) == len(set(declared))
+    public = {name for name, value in vars(mub6).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(declared)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(mub6, name) is getattr(module, name)

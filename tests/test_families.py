@@ -125,6 +125,36 @@ def test_m6_pair_sums_match_constraints():
             assert abs(abs(z) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("p, q, r", [(3, 4, 5), (4, 3, 5), (5, 12, 13), (12, 5, 13)])
+@pytest.mark.parametrize("arc", [1, -1], ids=["first_arc", "second_arc"])
+def test_m6_is_exactly_hadamard_at_gaussian_rational_a(p, q, r, arc):
+    """At a = arc (-p + qi)/r the entries _pair_from_sum builds are exact
+    algebraic numbers; with them U U^H = 6 I and |U_ij| = 1 hold identically,
+    so the pair sums alone fix every orthogonality relation, and the float
+    entries sit on the exact ones."""
+    import sympy as sp
+
+    def pair(S):
+        half = S / 2
+        u = sp.I * S / sp.sqrt(S * sp.conjugate(S)) * sp.sqrt(1 - half * sp.conjugate(half))
+        return sp.expand(half + u), sp.expand(half - u)
+
+    a = arc * (-sp.Rational(p, r) + sp.I * sp.Rational(q, r))
+    aa = sp.expand(a * a)
+    b, c = pair(sp.expand((aa - 2 * a - 1) / 2))
+    d, e = pair(sp.expand(-a * sp.re(a)))
+    f, g = pair(sp.expand((aa + 2 * a - 1) / 2))
+    U = sp.Matrix([[1, 1, 1, 1, 1, 1], [1, -1, a, a, -a, -a], [1, a, b, c, d, e],
+                   [1, a, c, b, e, d], [1, -a, d, e, f, g], [1, -a, e, d, g, f]])
+    for z in U * U.H - 6 * sp.eye(6):
+        assert sp.simplify(sp.expand(z)) == 0
+    for z in U:
+        assert sp.simplify(sp.expand(z * sp.conjugate(z))) == 1
+    t = float(np.angle(complex(a))) % (2 * PI)
+    exact = np.array(U.evalf(30).tolist(), dtype=complex)
+    assert np.max(np.abs(m6(t).entries * SQRT6 - exact)) < 2e-15
+
+
 def test_m6_continuity_within_arc():
     """The branch choice keeps entries continuous along each arc."""
     for lo, hi in ((PI / 2 + 1e-3, PI), (3 * PI / 2 + 1e-3, 2 * PI - 1e-3)):

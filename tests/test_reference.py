@@ -356,8 +356,8 @@ def _dumps(payload):
 def test_cli_json_matches_hand_built_payloads(capsys, tmp_path):
     """Inputs come in groups of four, one per family.  normalize
     --lemma-form --json runs on every second group, analyze --report real
-    and h2 on every fourth, and the expensive full and product reports on
-    three groups, which keeps this test to a few seconds."""
+    and h2 on every fourth, and the expensive full, unitary and product
+    reports on three groups, which keeps this test to a few seconds."""
     for i, D in enumerate(INPUTS):
         group = i // 4
         if group % 2:
@@ -369,7 +369,8 @@ def test_cli_json_matches_hand_built_payloads(capsys, tmp_path):
         assert out == _dumps(ref_lemma_payload(mub6.to_lemma_form(H)))
         if group % 4:
             continue
-        reports = ("real", "h2", "full", "product") if group % 24 == 0 else ("real", "h2")
+        reports = (("real", "h2", "full", "unitary", "product") if group % 24 == 0
+                   else ("real", "h2"))
         rep = mub6.analyze(H, sections=ALL_SECTIONS if "full" in reports else ("real", "h2"))
         for report in reports:
             sections = ALL_SECTIONS if report == "full" else (report,)
