@@ -6,7 +6,11 @@ and removes the global-phase gauge.  Unbiasedness to H is the six real
 equations 6 |<h_j, v>|^2 = 1.  ``solve_phases`` is a batched
 Levenberg-Marquardt solver with per-start damping (Moré 1978); it runs every
 start at once and drives each converging start to a machine-precision
-residual.
+residual.  Its arrays hold one start per column: one kernel forms every
+start's 6x6 normal matrix [J G]^T [J G], and the damped step is an in-place
+LDL^T elimination (no square root, so no Cholesky).  No operation mixes
+columns, so a start's result is a function of that start, H and the
+iteration cap alone, bit for bit, whatever else is in the batch.
 
 Converged starts are deduplicated greedily in phase space (angular distance
 with wraparound; each kept representative drops its near-duplicates among
@@ -122,24 +126,34 @@ def _phases_to_vectors(P):
     return V
 
 
-def _mu_defects(Hc, P):
-    """Batched defects G[n, j] = 6 |<h_j, v_n>|^2 - 1 and their Jacobian
-    J[n, j, k] in the five phases.  Hc is conj(H.entries)."""
-    V = _phases_to_vectors(P)
-    Z = V @ Hc                      # Z[n, j] = <h_j, v_n>
-    G = 6.0 * np.abs(Z) ** 2 - 1.0
-    W = np.conj(Z)[:, :, None] * Hc[1:, :].T
-    W *= V[:, None, 1:]             # in place: W is the largest temporary
-    return G, -12.0 * W.imag
+def _tables(Hc):
+    """The kernel's h0 = Hc[0] as (6, 1) and K = Hc[1:].T as (6, 5, 1)."""
+    return Hc[0][:, None], Hc[1:].T[:, :, None]
+
+
+def _normal_equations(tables, PT):
+    """M = [J G]^T [J G] as a (6, 6, n) array for the phase columns PT (5, n):
+    J^T J in M[:5, :5], J^T G in M[:5, 5] and |G|^2 in M[5, 5], where
+    G_j = 6 |<h_j, v>|^2 - 1 = |S_j|^2 - 1 with S_j = h0_j + Sum_k U_jk,
+    U_jk = K_jk e^{i phi_k}, and J_jk = dG_j/dphi_k = -2 Im(conj(S_j) U_jk)."""
+    h0, K = tables
+    U = K * np.exp(1j * PT)
+    S = h0 + U.sum(axis=1)
+    Sc = np.conj(S)
+    A = np.empty((6, 6, PT.shape[1]))
+    U *= Sc[:, None]
+    np.multiply(U.imag, -2.0, out=A[:, :5])
+    np.subtract((S * Sc).real, 1.0, out=A[:, 5])
+    return np.einsum("jkn,jln->kln", A, A)
 
 
 def mu_objective(H, phases):
     """Unbiasedness defect Sum_j (6 |<h_j, v>|^2 - 1)^2 and its gradient
     in the five free phases.  Zero exactly when v is unbiased to every
     column of H."""
-    P = np.asarray(phases, dtype=float).reshape(1, 5)
-    G, J = _mu_defects(np.conj(as_matrix(H)), P)
-    return float(G[0] @ G[0]), 2.0 * (G[0] @ J[0])
+    PT = np.asarray(phases, dtype=float).reshape(5, 1)
+    M = _normal_equations(_tables(np.conj(as_matrix(H))), PT)[:, :, 0]
+    return float(M[5, 5]), 2.0 * M[:5, 5]
 
 
 def _unbiasedness_residuals(A, V):
@@ -148,42 +162,58 @@ def _unbiasedness_residuals(A, V):
     return np.max(np.abs(6.0 * np.abs(V @ np.conj(A)) ** 2 - 1.0), axis=1)
 
 
-def _normal_equations(r, J):
-    """M = [J r]^T [J r]: J^T J, J^T r and |r|^2 in one (n, 6, 6) product."""
-    A = np.concatenate([J, r[:, :, None]], axis=2)
-    return A.transpose(0, 2, 1) @ A
+def _ldl_step(M, lam):
+    """The step x of (M[:5, :5] + lam I) x = M[:5, 5] for every column: LDL^T
+    elimination in place on a copy of M[:5], with multipliers from the upper
+    triangle, then back substitution in place on column 5.  A pivot that is
+    not positive is set to 0, so its column's step is not finite."""
+    B = M[:5].copy()
+    d = B.reshape(30, -1)[::7]          # the diagonal, then the pivots
+    d += lam
+    for c in range(4):
+        f = B[c, c + 1:5] / d[c]
+        B[c + 1:, c + 1:] -= f[:, None] * B[c, c + 1:]
+    np.maximum(d, 0.0, out=d)
+    x = B[:, 5]
+    for c in range(4, 0, -1):
+        x[c] /= d[c]
+        x[:c] -= B[:c, c] * x[c]
+    x[0] /= d[0]
+    return x
 
 
 def solve_phases(Hc, P, max_iters):
     """Batched Levenberg-Marquardt over rows P of five phases, driving the
-    defects r = _mu_defects(Hc, P) to zero; Hc is conj(H.entries).  Every
+    defects G_j = 6 |<h_j, v>|^2 - 1 to zero; Hc is conj(H.entries).  Every
     start carries its own damping lam, starting at 0.1: a step solves
-    (J^T J + lam I) delta = -J^T r, is kept only if it lowers |r|, and lam
+    (J^T J + lam I) delta = -J^T G, is kept only if it lowers |G|, and lam
     shrinks by 3 (down to 1e-12) on success and grows by 10 on failure.  A
-    start stops once |r| < 1e-13, once lam exceeds 1e10, or after max_iters
-    steps.  Returns the final phases and each start's |r|.
+    start stops once |G| < 1e-13, once lam exceeds 1e10, or after max_iters
+    steps.  Returns the final phases and each start's |G|.  Inside, starts
+    are columns ((5, n) phases, (6, 6, n) normal matrices) and no operation
+    mixes columns, so a start's result is the same bits in any batch.
     """
-    P = np.array(P, dtype=float)
-    out, cost = P.copy(), np.empty(len(P))
-    idx = np.arange(len(P))
-    M = _normal_equations(*_mu_defects(Hc, P))
-    lam = np.full(len(P), 0.1)
+    tables = _tables(Hc)
+    PT = np.asarray(P, dtype=float).T.copy()
+    out, cost = np.empty((PT.shape[1], 5)), np.empty(PT.shape[1])
+    idx, lam = np.arange(PT.shape[1]), np.full(PT.shape[1], 0.1)
+    M = _normal_equations(tables, PT)
     for _ in range(max_iters):
-        stop = (M[:, 5, 5] < 1e-26) | (lam > 1e10)
+        stop = (M[5, 5] < 1e-26) | (lam > 1e10)
         if stop.any():
-            out[idx[stop]], cost[idx[stop]] = P[stop], M[stop, 5, 5]
+            out[idx[stop]], cost[idx[stop]] = PT[:, stop].T, M[5, 5, stop]
             keep = ~stop
-            idx, P, M, lam = idx[keep], P[keep], M[keep], lam[keep]
+            idx, PT, M, lam = idx[keep], PT[:, keep], M[:, :, keep], lam[keep]
             if not idx.size:
                 break
-        step = np.linalg.solve(M[:, :5, :5] + lam[:, None, None] * np.eye(5), M[:, :5, 5:])
-        trial = P - step[:, :, 0]
-        Mt = _normal_equations(*_mu_defects(Hc, trial))
-        ok = Mt[:, 5, 5] < M[:, 5, 5]
-        np.copyto(P, trial, where=ok[:, None])
-        np.copyto(M, Mt, where=ok[:, None, None])
+        with np.errstate(all="ignore"):     # a failed pivot's trial is not finite
+            trial = PT - _ldl_step(M, lam)
+            Mt = _normal_equations(tables, trial)
+        ok = Mt[5, 5] < M[5, 5]
+        np.copyto(PT, trial, where=ok)
+        np.copyto(M, Mt, where=ok)
         lam = np.maximum(lam * np.where(ok, 1.0 / 3.0, 10.0), 1e-12)
-    out[idx], cost[idx] = P, M[:, 5, 5]
+    out[idx], cost[idx] = PT.T, M[5, 5]
     return out, np.sqrt(cost)
 
 

@@ -339,29 +339,109 @@ def central_jacobian(fun, p, h=1e-6):
 
 
 def test_mu_defect_jacobian_matches_finite_differences(f6, m6_sample, b6_generic):
-    from mub6.musearch import _mu_defects
+    """The kernel's M[:5, :5] is J^T J and M[:5, 5] is J^T G, with J the
+    central-difference Jacobian of the defects G, which are computed here
+    from the vectors themselves."""
+    from mub6.musearch import _normal_equations, _tables
 
     rng = np.random.default_rng(56)
     for H in (f6, m6_sample, b6_generic):
-        fun = lambda P, Hc=np.conj(H.entries): _mu_defects(Hc, P)
+        def fun(P, A=H.entries):
+            V = np.concatenate([np.ones((len(P), 1)), np.exp(1j * P)], axis=1) / SQRT6
+            return (6.0 * np.abs(V @ np.conj(A)) ** 2 - 1.0,)
+
         for _ in range(8):
             p = rng.uniform(0, 2 * PI, 5)
-            G, J = fun(p[None])
-            assert G.shape == (1, 6) and J.shape == (1, 6, 5)
-            fd = central_jacobian(fun, p)
-            assert np.max(np.abs(J[0] - fd)) < 1e-7 * max(1.0, np.max(np.abs(fd)))
+            M = _normal_equations(_tables(np.conj(H.entries)), p[:, None])
+            assert M.shape == (6, 6, 1)
+            fd, G = central_jacobian(fun, p), fun(p[None])[0][0]
+            for got, want in ((M[:5, :5, 0], fd.T @ fd), (M[:5, 5, 0], fd.T @ G)):
+                assert np.max(np.abs(got - want)) < 1e-7 * max(1.0, np.max(np.abs(want)))
 
 
 def test_solver_defect_is_residual_norm(m6_sample):
-    from mub6.musearch import _mu_defects, solve_phases
+    from mub6.musearch import _normal_equations, _tables, solve_phases
 
     Hc = np.conj(m6_sample.entries)
     P0 = np.random.default_rng(8).uniform(0, 2 * PI, (50, 5))
     for iters in (1, 5, 500):
         P, defect = solve_phases(Hc, P0, iters)
-        G, _ = _mu_defects(Hc, P)
-        assert np.allclose(defect, np.linalg.norm(G, axis=1), rtol=1e-9, atol=1e-15)
+        M = _normal_equations(_tables(Hc), P.T)
+        assert np.allclose(defect, np.sqrt(M[5, 5]), rtol=1e-9, atol=1e-15)
     assert np.all(defect < 1e-13)
+
+
+@pytest.mark.parametrize("H", [mub6.fourier_f6(0.0, 0.0), m6(5.8), mub6.s6(), mub6.b6(2.0)],
+                         ids=["F6", "m6(5.8)", "S6", "b6(2.0)"])
+def test_solve_phases_is_batch_independent(H):
+    """A start's phases and defect are the same bits whether it is solved
+    alone, in a slice or in the full batch: the solver never mixes starts."""
+    from mub6.musearch import solve_phases
+
+    Hc = np.conj(H.entries)
+    P0 = np.random.default_rng(29).uniform(0, 2 * PI, (300, 5))
+    P, defect = solve_phases(Hc, P0, 500)
+    for part in (slice(117, 118), slice(40, 90), slice(3, None, 7)):
+        P_part, defect_part = solve_phases(Hc, P0[part], 500)
+        assert np.array_equal(P_part, P[part])
+        assert np.array_equal(defect_part, defect[part])
+
+
+def _normal_matrices(rng, n):
+    """M = A^T A for n random 6x6 A = [J g], held as (6, 6, n)."""
+    A = rng.standard_normal((n, 6, 6))
+    return (A.transpose(0, 2, 1) @ A).transpose(1, 2, 0)
+
+
+@pytest.mark.parametrize("lam", [1e-12, 0.1, 1e10])
+def test_ldl_step_matches_linalg_solve(lam):
+    """The in-place LDL^T step solves (J^T J + lam I) x = J^T g like
+    np.linalg.solve, used here only as an oracle."""
+    from mub6.musearch import _ldl_step
+
+    M = _normal_matrices(np.random.default_rng(31), 200)
+    x = _ldl_step(M, np.full(200, lam))
+    Mn = M.transpose(2, 0, 1)
+    ref = np.linalg.solve(Mn[:, :5, :5] + lam * np.eye(5), Mn[:, :5, 5:])[:, :, 0].T
+    assert np.all(np.abs(x - ref) <= 1e-12 * np.max(np.abs(ref), axis=0))
+
+
+def test_ldl_step_fails_a_column_with_a_negative_pivot():
+    """Column 1's second pivot is -1: its step is not finite, and the other
+    columns get the step they get alone."""
+    from mub6.musearch import _ldl_step
+
+    M = _normal_matrices(np.random.default_rng(32), 3)
+    lam = np.full(3, 0.1)
+    M[1, 1, 1] = M[0, 1, 1] ** 2 / (M[0, 0, 1] + lam[1]) - lam[1] - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = _ldl_step(M, lam)
+    assert not np.all(np.isfinite(x[:, 1]))
+    for n in (0, 2):
+        assert np.all(np.isfinite(x[:, n]))
+        assert np.array_equal(x[:, n], _ldl_step(M[:, :, n:n + 1], lam[n:n + 1])[:, 0])
+
+
+def test_solver_rejects_a_step_whose_pivot_is_not_positive():
+    """Equal rows 1 and 2 of Hc and equal phases 0 and 1 give J two equal
+    columns; scaled by 1e4, J^T J is so large that adding lam = 0.1 rounds
+    away and the second pivot is exactly 0.  That trial is rejected (the
+    phases stay), every output is finite and no RuntimeWarning escapes."""
+    from mub6.musearch import _ldl_step, _normal_equations, _tables, solve_phases
+
+    Hc = 1e4 * np.conj(mub6.fourier_f6(0.0, 0.0).entries)
+    Hc[2] = Hc[1]
+    P0 = np.random.default_rng(33).uniform(0, 2 * PI, (4, 5))
+    P0[:2, 1] = P0[:2, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = _ldl_step(_normal_equations(_tables(Hc), P0.T), np.full(4, 0.1))
+    assert not np.any(np.all(np.isfinite(x[:, :2]), axis=0))
+    assert np.all(np.isfinite(x[:, 2:]))
+    for iters in (1, 500):
+        P, defect = solve_phases(Hc, P0, iters)
+        assert np.all(np.isfinite(P)) and np.all(np.isfinite(defect))
+        if iters == 1:
+            assert np.array_equal(P[:2], P0[:2])
 
 
 @pytest.mark.parametrize("t", [0.6 * PI, 1.634, 0.9 * PI, 1.6 * PI, 1.9 * PI])
@@ -385,6 +465,23 @@ def test_m6_count_saturates(t, count):
     H = m6(t)
     assert len(find_mu_vectors(H, OptimConfig(starts=2000))) == count
     assert len(find_mu_vectors(H, OptimConfig(starts=8000))) == count
+
+
+# ROADMAP item 2: the midpoint of each interval between folds of the first
+# arc and its count.  The window t = 1.750-1.756, where LM at 2000 starts
+# misses roots of the 80 plateau, is left out.
+PLATEAUS = [(1.62, 120), (1.685, 96), (1.73, 80), (1.765, 72), (1.79, 56), (2.03, 52), (2.7, 48)]
+
+
+@pytest.mark.parametrize("t,count", [(t + shift, count) for t, count in PLATEAUS
+                                     for shift in (0.0, PI)])
+def test_plateau_counts(t, count):
+    """Each plateau's count at its midpoint on both arcs (the second is the
+    first relabelled by t + pi), at 2000 starts for seeds 0-2 and at 8000
+    starts for seed 0: a faster solver must not move a count."""
+    H = m6(t)
+    for starts, seed in ((2000, 0), (2000, 1), (2000, 2), (8000, 0)):
+        assert len(find_mu_vectors(H, OptimConfig(starts=starts, seed=seed))) == count
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6, 0.05, 1 / 6])
