@@ -174,25 +174,24 @@ def find_unitary_submatrices(H, k: int, tol: Tolerances = DEFAULT_TOL):
             for r, c_ in zip(*np.nonzero(ok))]
 
 
+def _ranks(blocks):
+    """Numerical rank of each matrix in a stack: how many singular values lie
+    strictly above rank_tol times the largest (a zero block has rank 0)."""
+    sv = np.linalg.svd(blocks, compute_uv=False)
+    return np.sum(sv > Tolerances.rank_tol * sv[..., :1], axis=-1)
+
+
 def submatrix_rank(H, loc: SubmatrixLoc) -> int:
-    """Numerical rank of the selected block via singular values."""
-    S = loc.take(as_matrix(H))
-    sv = np.linalg.svd(S, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > Tolerances.rank_tol * sv[0]))
+    """Numerical rank of the selected block (see _ranks)."""
+    return int(_ranks(loc.take(as_matrix(H))))
 
 
 def is_product_vector(v, factorization: str) -> bool:
-    """Rank-one test of the vector reshaped row-major to 2x3 or 3x2."""
-    if factorization == "2x3":
-        M = as_vector(v).reshape(2, 3)
-    elif factorization == "3x2":
-        M = as_vector(v).reshape(3, 2)
-    else:
+    """Rank one (see _ranks) of v reshaped row-major to 2x3 or 3x2."""
+    if factorization not in ("2x3", "3x2"):
         raise InvalidInput("factorization must be '2x3' or '3x2'")
-    sv = np.linalg.svd(M, compute_uv=False)
-    return bool(sv[1] < Tolerances.rank_tol * sv[0])
+    M = as_vector(v).reshape((2, 3) if factorization == "2x3" else (3, 2))
+    return bool(_ranks(M) == 1)
 
 
 # One representative per grid class (see product_triple_exists): the row
@@ -210,7 +209,7 @@ def product_triple_exists(H) -> bool:
     Swapping the grid rows or permuting its columns keeps the rank, so the
     720 orders form 60 classes.  The 3x2 reshape under p is the transpose
     of the 2x3 one under (p0, p2, p4, p1, p3, p5), with the same singular
-    values, so it adds no class.  The test is is_product_vector's SVD rank
+    values, so it adds no class.  The test is is_product_vector's rank-one
     test, batched over 60 grids x 6 columns.
 
     The answer belongs to the matrix as given, not to its equivalence
@@ -218,9 +217,7 @@ def product_triple_exists(H) -> bool:
     triple, so on a disguised matrix it answers for the disguise.
     """
     blocks = np.transpose(as_matrix(H)[_GRIDS], (0, 3, 1, 2))    # (grid, col, 2, 3)
-    sv = np.linalg.svd(blocks, compute_uv=False)
-    isprod = sv[..., 1] < Tolerances.rank_tol * sv[..., 0]
-    return bool((isprod.sum(axis=1) >= 3).any())
+    return bool(((_ranks(blocks) == 1).sum(axis=1) >= 3).any())
 
 
 @dataclass(frozen=True)
@@ -257,7 +254,7 @@ def analyze(H, tol: Tolerances = DEFAULT_TOL, sections=ALL_SECTIONS) -> Analysis
     fields = {"label": getattr(H, "label", None)}
     if "real" in sections:
         fields["real_entry_count"] = count_real_entries(H, tol)
-        fields["exceeds_bound"] = fields["real_entry_count"] > REAL_ENTRY_BOUND
+        fields["exceeds_bound"] = exceeds_real_bound(H, tol)
         fields["real_3x2_raw"] = find_real_submatrices(H, 3, 2, tol)
         fields["real_3x2_rephased"] = find_real_submatrices_up_to_rephasing(H, 3, 2, tol)
     if "h2" in sections:

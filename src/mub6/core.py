@@ -75,9 +75,10 @@ def _frozen_array(a, shape, name):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CMat6:
-    """An immutable 6x6 complex matrix with an optional text label."""
+    """An immutable 6x6 complex matrix with an optional text label.  == is
+    identity; compare values with np.array_equal(a.entries, b.entries)."""
 
     entries: np.ndarray
     label: str | None = None
@@ -89,9 +90,10 @@ class CMat6:
         return CMat6(self.entries, label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColVec6:
-    """An immutable length-6 complex column vector."""
+    """An immutable length-6 complex column vector.  == is identity; compare
+    values with np.array_equal(u.entries, v.entries)."""
 
     entries: np.ndarray
 

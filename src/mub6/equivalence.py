@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformRecord:
     """One equivalence move: result = diag(row_phases) P_row H P_col diag(col_phases).
 
@@ -109,7 +109,7 @@ def dephase(H):
     return D, TransformRecord((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), rph, cph)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LemmaForm:
     """A dephased equivalent of H whose upper-left 3x2 block is real.
 

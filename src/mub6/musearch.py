@@ -18,7 +18,9 @@ the later starts in one array test).  ``extract_bases`` returns the
 orthonormal sextets among them, enumerated in index order from one table of
 pairwise column inner products, and ``verify_triple`` confirms each by
 computations that table did not make: B B^H = I over the rows, the entry
-moduli, and unbiasedness to H, so {I, H, B} is pairwise mutually unbiased.
+moduli, and unbiasedness to H; with H Hadamard, {I, H, B} is then pairwise
+mutually unbiased.  The search and its objective refuse a non-Hadamard H,
+and verify_triple rejects one.
 The enumeration requires eq_tol <= 1/6: below that bound seven unit vectors
 cannot be pairwise orthogonal in C^6 (their Gram matrix would be positive
 definite), so no orthogonality clique exceeds six.  ``scan_m6`` sweeps the
@@ -57,7 +59,7 @@ CSV_HEADER = "t,a_re,a_im,n_mu_vectors,n_bases,n_triples,max_residual,starts,see
 _MAX_ITERS = 500     # Levenberg-Marquardt step cap per start in find_mu_vectors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MUVector:
     """One accepted search result.
 
@@ -88,11 +90,14 @@ class OptimConfig:
     tol: ClassVar[Tolerances] = DEFAULT_TOL
 
     def __post_init__(self):
+        for name in ("starts", "seed"):
+            if not _is_index(getattr(self, name)):
+                raise InvalidInput(f"{name} must be an integer")
         if self.starts < 1:
             raise InvalidInput("starts must be >= 1")
         if self.starts > np.iinfo(np.intp).max // 40:    # numpy's cap on the (starts, 5) draw
             raise InvalidInput("starts exceed what one array of start phases can hold")
-        if not self.seed >= 0:
+        if self.seed < 0:
             raise InvalidInput("seed must be >= 0")
 
 
@@ -117,6 +122,11 @@ class ScanRow:
                 raise InvalidInput("n_triples cannot exceed n_bases")
 
 
+def _is_index(x):
+    """A Python or numpy integer; bool, float and str are not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _phases_to_vectors(P):
     """(..., 5) phase rows to (..., 6) unit vectors with pinned first entry."""
     P = np.asarray(P, dtype=float)
@@ -137,22 +147,30 @@ def _normal_equations(tables, PT):
     G_j = 6 |<h_j, v>|^2 - 1 = |S_j|^2 - 1 with S_j = h0_j + Sum_k U_jk,
     U_jk = K_jk e^{i phi_k}, and J_jk = dG_j/dphi_k = -2 Im(conj(S_j) U_jk)."""
     h0, K = tables
-    U = K * np.exp(1j * PT)
+    E = 1j * PT
+    U = K * np.exp(E, out=E)
     S = h0 + U.sum(axis=1)
     Sc = np.conj(S)
     A = np.empty((6, 6, PT.shape[1]))
     U *= Sc[:, None]
     np.multiply(U.imag, -2.0, out=A[:, :5])
-    np.subtract((S * Sc).real, 1.0, out=A[:, 5])
+    S *= Sc
+    np.subtract(S.real, 1.0, out=A[:, 5])
     return np.einsum("jkn,jln->kln", A, A)
 
 
 def mu_objective(H, phases):
     """Unbiasedness defect Sum_j (6 |<h_j, v>|^2 - 1)^2 and its gradient
     in the five free phases.  Zero exactly when v is unbiased to every
-    column of H."""
-    PT = np.asarray(phases, dtype=float).reshape(5, 1)
-    M = _normal_equations(_tables(np.conj(as_matrix(H))), PT)[:, :, 0]
+    column of H.  InvalidInput unless H is Hadamard and there are five
+    phases."""
+    A = as_matrix(H)
+    if not is_hadamard(A):
+        raise InvalidInput("mu_objective needs a Hadamard matrix")
+    PT = np.asarray(phases, dtype=float)
+    if PT.size != 5:
+        raise InvalidInput(f"expected five free phases, got {PT.size}")
+    M = _normal_equations(_tables(np.conj(A)), PT.reshape(5, 1))[:, :, 0]
     return float(M[5, 5]), 2.0 * M[:5, 5]
 
 
@@ -202,7 +220,7 @@ def solve_phases(Hc, P, max_iters):
         stop = (M[5, 5] < 1e-26) | (lam > 1e10)
         if stop.any():
             out[idx[stop]], cost[idx[stop]] = PT[:, stop].T, M[5, 5, stop]
-            keep = ~stop
+            keep = np.flatnonzero(~stop)
             idx, PT, M, lam = idx[keep], PT[:, keep], M[:, :, keep], lam[keep]
             if not idx.size:
                 break
@@ -210,8 +228,9 @@ def solve_phases(Hc, P, max_iters):
             trial = PT - _ldl_step(M, lam)
             Mt = _normal_equations(tables, trial)
         ok = Mt[5, 5] < M[5, 5]
-        np.copyto(PT, trial, where=ok)
-        np.copyto(M, Mt, where=ok)
+        back = np.flatnonzero(~ok)       # rejected steps keep their start
+        trial[:, back], Mt[:, :, back] = PT[:, back], M[:, :, back]
+        PT, M = trial, Mt
         lam = np.maximum(lam * np.where(ok, 1.0 / 3.0, 10.0), 1e-12)
     out[idx], cost[idx] = PT.T, M[5, 5]
     return out, np.sqrt(cost)
@@ -247,8 +266,12 @@ def _dedupe(P, cluster_tol):
 def find_mu_vectors(H, cfg: OptimConfig = OptimConfig(), rng=None):
     """Multi-start minimization; returns deduplicated MUVectors sorted by
     their phase tuples.  An empty list is a legitimate outcome of an
-    insufficient start budget, not an error."""
+    insufficient start budget, not an error.  InvalidInput unless H is
+    Hadamard at the default tolerance: for another H the count need not
+    mean anything (for I every start converges, so it is the budget)."""
     A = as_matrix(H)
+    if not is_hadamard(A):
+        raise InvalidInput("find_mu_vectors needs a Hadamard matrix")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     P0 = rng.uniform(0.0, 2.0 * np.pi, size=(cfg.starts, 5))
@@ -297,12 +320,17 @@ def verify_triple(H, vectors, clique, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Certify that the clique's six vectors, as the columns of B, form an
     orthonormal basis making {I, H, B} pairwise mutually unbiased.
 
-    B must be Hadamard at tol: the row test B B^H = I and the moduli are
-    computations extract_bases did not make, since it compared columns.
-    Then every |<h_j, b_k>|^2 must be 1/6 within residual_tol."""
+    H and B must be Hadamard at tol, the legs I-H and I-B.  For B the row
+    test B B^H = I and the moduli are computations extract_bases did not
+    make, since it compared columns.  Then every |<h_j, b_k>|^2 must be 1/6
+    within residual_tol, the leg H-B.  InvalidInput unless the clique is six
+    distinct indices into vectors."""
+    if len(clique) != 6 or len(set(clique)) != 6 or not all(
+            _is_index(i) and 0 <= i < len(vectors) for i in clique):
+        raise InvalidInput(f"clique must be six distinct indices below {len(vectors)}")
     A = as_matrix(H)
     B = np.stack([np.asarray(vectors[i].vector.entries) for i in clique], axis=1)
-    if not is_hadamard(B, tol):
+    if not (is_hadamard(A, tol) and is_hadamard(B, tol)):
         return False
     return bool(np.max(_unbiasedness_residuals(A, B.T)) < tol.residual_tol)
 

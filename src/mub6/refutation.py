@@ -38,7 +38,7 @@ VERDICT_REFUTED = "LEMMA_CLAIM_REFUTED"
 VERDICT_NOT_REFUTED = "NOT_REFUTED"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LemmaReport:
     """Outcome of the pipeline with every assertion evaluated separately.
 
@@ -60,7 +60,7 @@ class LemmaReport:
     matrix: CMat6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThirdColumnWitness:
     """A unimodular vector orthogonal to both normalized leading columns.
 

@@ -233,6 +233,25 @@ def test_submatrix_rank_agrees_with_scipy(f6, b6_generic):
             assert submatrix_rank(H, loc) == expect
 
 
+def test_rank_tests_agree_across_scales():
+    """is_product_vector, submatrix_rank and product_triple_exists make one
+    rank decision: planted rank-one and rank-two 2x3 blocks at scales from
+    1e-300 to 1e300, and the zero block, which is rank 0 and not a product."""
+    rng = np.random.default_rng(26)
+    cnormal = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    loc = SubmatrixLoc((1, 2), (1, 2, 3))
+    others = cnormal(6, 3)              # generic columns: rank two on every grid
+    for scale in 10.0 ** np.arange(-300, 301, 50):
+        for rank, v in ((1, np.outer(cnormal(2), cnormal(3)).ravel() * scale),
+                        (2, cnormal(6) * scale), (0, np.zeros(6))):
+            block = np.zeros((6, 6), dtype=complex)
+            block[:2, :3] = v.reshape(2, 3)
+            assert submatrix_rank(block, loc) == rank
+            assert is_product_vector(v, "2x3") is (rank == 1)
+            H = np.concatenate([np.repeat(v[:, None], 3, axis=1), others], axis=1)
+            assert product_triple_exists(H) is (rank == 1)
+
+
 def test_analyze_full_report(f6):
     rep = analyze(f6)
     assert rep.real_entry_count == 20

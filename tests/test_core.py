@@ -62,6 +62,28 @@ def test_no_tolerance_where_none_decides(func):
         mub6.OptimConfig(tol=DEFAULT_TOL)
 
 
+def test_array_records_compare_by_identity():
+    """A generated field-wise == cannot compare arrays and raises, and the
+    generated hash raises too, so these records compare by identity."""
+    f6, s6 = mub6.fourier_f6(0.0, 0.0), mub6.s6()
+    rng = np.random.default_rng(26)
+    vecs = mub6.find_mu_vectors(f6, mub6.OptimConfig(starts=200, seed=1))
+    pairs = {
+        "CMat6": (f6, s6),
+        "ColVec6": (ColVec6(f6.entries[:, 0]), ColVec6(f6.entries[:, 1])),
+        "TransformRecord": (mub6.random_record(rng), mub6.random_record(rng)),
+        "LemmaForm": (mub6.to_lemma_form(f6), mub6.to_lemma_form(mub6.m6(2.0))),
+        "MUVector": (vecs[0], vecs[1]),
+        "LemmaReport": (mub6.run_counterexample(2.0), mub6.run_counterexample(2.5)),
+        "ThirdColumnWitness": (mub6.third_column_witness(1.0), mub6.third_column_witness(1j)),
+    }
+    for name, (x, other) in pairs.items():
+        assert type(x).__name__ == name and type(other) is type(x)
+        assert x not in [other] and x != other, name
+        assert x == x and x in [other, x], name
+        assert hash(x) == hash(x) and len({x, other}) == 2, name
+
+
 def test_cmat6_shape_and_immutability():
     A = np.full((6, 6), 1.0 + 0.0j) / SQRT6
     H = CMat6(A, "flat")

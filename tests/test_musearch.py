@@ -35,6 +35,12 @@ def test_optim_config_validation():
     OptimConfig(seed=0)
     with pytest.raises(InvalidInput, match="seed"):
         OptimConfig(seed=-1)
+    OptimConfig(starts=np.int64(3), seed=np.uint32(7))
+    for bad in (2.5, 3.0, True, "3", None):
+        with pytest.raises(InvalidInput, match="starts"):
+            OptimConfig(starts=bad)
+        with pytest.raises(InvalidInput, match="seed"):
+            OptimConfig(seed=bad)
 
 
 def test_muvector_validation(f6):
@@ -238,6 +244,36 @@ def test_verify_triple_refuses_a_basis_biased_to_h(f6):
     basis = extract_bases(vecs)[0]
     assert verify_triple(f6, vecs, basis)
     assert not verify_triple(m6(2.0), vecs, basis)
+
+
+def test_verify_triple_needs_h_unbiased_to_i(f6):
+    """I is not unbiased to itself, so no F6 basis makes a triple {I, I, B}."""
+    vecs = find_mu_vectors(f6, OptimConfig(starts=2000, seed=0))
+    bases = extract_bases(vecs)
+    assert len(bases) == 16 and all(verify_triple(f6, vecs, b) for b in bases)
+    assert not any(verify_triple(np.eye(6), vecs, b) for b in bases)
+
+
+def test_verify_triple_refuses_a_malformed_clique(f6):
+    vecs = find_mu_vectors(f6, OptimConfig(starts=2000, seed=0))
+    assert verify_triple(f6, vecs, np.array(extract_bases(vecs)[0]))
+    for clique in ((0, 1, 2, 3, 4, 999), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5, 6),
+                   (-1, 1, 2, 3, 4, 5), (0, 0, 1, 2, 3, 4), (0, 1.0, 2, 3, 4, 5)):
+        with pytest.raises(InvalidInput, match="clique"):
+            verify_triple(f6, vecs, clique)
+
+
+def test_search_refuses_a_non_hadamard_matrix(f6):
+    """The vector count of a non-Hadamard matrix would be the start budget
+    (every phase vector is unbiased to I), and a huge one overflows."""
+    for A in (np.eye(6), 1e200 * f6.entries):
+        with pytest.raises(InvalidInput, match="Hadamard"):
+            find_mu_vectors(A, OptimConfig(starts=20))
+        with pytest.raises(InvalidInput, match="Hadamard"):
+            mu_objective(A, np.zeros(5))
+    for phases in (np.zeros(4), np.zeros(6), []):
+        with pytest.raises(InvalidInput, match="five"):
+            mu_objective(f6, phases)
 
 
 def test_extract_bases_refuses_eq_tol_above_one_sixth(f6):
