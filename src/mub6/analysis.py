@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_TOL, SQRT6, Tolerances, as_matrix, as_vector, is_hadamard, mod_pi_sign
+from .core import (DEFAULT_TOL, SQRT6, Tolerances, as_hadamard, as_indices, as_matrix, as_vector,
+                   is_index, mod_pi_sign)
 from .errors import InvalidInput
 
 __all__ = [
@@ -56,11 +57,9 @@ class SubmatrixLoc:
 
     def __post_init__(self):
         for name in ("rows", "cols"):
-            idx = tuple(int(v) for v in getattr(self, name))
-            if not idx or any(not 1 <= v <= 6 for v in idx):
-                raise InvalidInput(f"{name} must be indices in 1..6")
-            if list(idx) != sorted(set(idx)):
-                raise InvalidInput(f"{name} must be strictly increasing")
+            idx = as_indices(getattr(self, name), name, 1, 6)
+            if not idx or list(idx) != sorted(set(idx)):
+                raise InvalidInput(f"{name} must be non-empty and strictly increasing")
             object.__setattr__(self, name, idx)
 
     def take(self, A):
@@ -85,7 +84,7 @@ def exceeds_real_bound(H, tol: Tolerances = DEFAULT_TOL) -> bool:
 def _real_selections(H, p, q, column_ok):
     """Every p x q selection whose columns all pass column_ok, which maps the
     stacked row selections (n, p, 6) to an (n, 6) mask."""
-    if not (1 <= p <= 6 and 1 <= q <= 6):
+    if not (is_index(p) and is_index(q) and 1 <= p <= 6 and 1 <= q <= 6):
         raise InvalidInput("submatrix dimensions must lie in 1..6")
     row_sets = list(combinations(range(6), p))
     colok = column_ok(as_matrix(H)[np.array(row_sets)])
@@ -162,7 +161,7 @@ def find_unitary_submatrices(H, k: int, tol: Tolerances = DEFAULT_TOL):
     amounts to pairwise-orthogonal rows of equal norm; c is the mean of the
     diagonal of S S*.  All C(6, k)^2 blocks are tested in one batch.
     """
-    if not (2 <= k <= 6):
+    if not (is_index(k) and 2 <= k <= 6):
         raise InvalidInput("k must lie in 2..6")
     sets = np.array(list(combinations(range(6), k)))
     S = as_matrix(H)[sets[:, None, :, None], sets[None, :, None, :]]    # (rows, cols, k, k)
@@ -249,8 +248,7 @@ def analyze(H, tol: Tolerances = DEFAULT_TOL, sections=ALL_SECTIONS) -> Analysis
     """The requested sections; InvalidInput for an unknown section or a non-Hadamard H."""
     if unknown := sorted(set(sections) - SECTION_FIELDS.keys()):
         raise InvalidInput(f"unknown analyze sections {unknown}; known: {list(ALL_SECTIONS)}")
-    if not is_hadamard(H, tol):
-        raise InvalidInput("analyze needs a Hadamard matrix within the tolerance")
+    as_hadamard(H, tol)
     fields = {"label": getattr(H, "label", None)}
     if "real" in sections:
         fields["real_entry_count"] = count_real_entries(H, tol)

@@ -4,8 +4,11 @@ Everything in this package works on 6x6 complex matrices whose entries,
 for a Hadamard matrix, all have modulus 1/sqrt(6).  Predicates take their
 tolerance from a Tolerances value, and residuals are measured in the
 entry-wise max norm so that per-entry claims ("this element must be zero")
-translate directly into the checks.  Fixed cut-offs remain: entries below
-1e-12 count as zero, hence phaseless, in equivalence.dephase and in
+translate directly into the checks.  Each input rule has one owner here:
+as_matrix (shape, finite entries), as_hadamard (the refusal of a
+non-Hadamard input), is_unimodular, and as_indices (integers; bool, float
+and str are refused).  Fixed cut-offs remain: entries below 1e-12 count
+as zero, hence phaseless, in equivalence.dephase and in
 analysis._real_up_to_phase; to_lemma_form reads the (-1, s, -s) tail
 within 10 * eq_tol; and families._pair_from_sum forgives a rounding of
 1e-12 below zero under its square root.
@@ -68,7 +71,7 @@ def _frozen_array(a, shape, name):
     arr = np.asarray(a, dtype=complex)
     if arr.shape != shape:
         raise InvalidInput(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     arr = arr.copy()
     arr.setflags(write=False)
@@ -114,6 +117,27 @@ def as_vector(v) -> np.ndarray:
     return _frozen_array(v, (6,), "vector")
 
 
+def is_index(x) -> bool:
+    """A Python or numpy integer; bool, float and str are not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def as_indices(values, name, lo, hi) -> tuple:
+    """values as a tuple of ints, each an index (is_index) in lo..hi, else InvalidInput."""
+    try:
+        idx = tuple(values)
+    except TypeError:       # not iterable
+        idx = (None,)
+    if not all(is_index(v) and lo <= v <= hi for v in idx):
+        raise InvalidInput(f"{name} must be integers in {lo}..{hi}, got {values!r}")
+    return tuple(map(int, idx))
+
+
+def is_unimodular(z) -> bool:
+    """Every |z| lies within the default eq_tol of 1; NaN and inf fail."""
+    return bool((np.abs(np.abs(z) - 1.0) <= DEFAULT_TOL.eq_tol).all())
+
+
 def _saturated(x) -> float:
     """x as a float, with a non-finite value (from overflow) replaced by the
     largest finite double, so a residual always stays a JSON number."""
@@ -143,6 +167,14 @@ def modulus_residual(M) -> float:
 def is_hadamard(M, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff modulus_residual and unitarity_residual are both below eq_tol."""
     return modulus_residual(M) < tol.eq_tol and is_unitary(M, tol)
+
+
+def as_hadamard(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """as_matrix(M), or InvalidInput unless M is Hadamard at tol."""
+    A = as_matrix(M)
+    if not is_hadamard(A, tol):
+        raise InvalidInput(f"not a Hadamard matrix within eq_tol = {tol.eq_tol!r}")
+    return A
 
 
 def mod_pi_sign(z, anchor, eq_tol):

@@ -23,7 +23,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import CMat6, DEFAULT_TOL, SQRT6, Tolerances, as_matrix, is_hadamard, mod_pi_sign
+from .core import (CMat6, DEFAULT_TOL, SQRT6, Tolerances, _frozen_array, as_hadamard, as_indices,
+                   as_matrix, is_unimodular, mod_pi_sign)
 from .errors import InvalidInput, SolveError
 
 __all__ = [
@@ -51,25 +52,20 @@ class TransformRecord:
 
     def __post_init__(self):
         for name in ("row_perm", "col_perm"):
-            p = tuple(int(v) for v in getattr(self, name))
+            p = as_indices(getattr(self, name), name, 1, 6)
             if sorted(p) != [1, 2, 3, 4, 5, 6]:
                 raise InvalidInput(f"{name} must be a permutation of 1..6, got {p}")
             object.__setattr__(self, name, p)
         for name in ("row_phases", "col_phases"):
-            ph = np.asarray(getattr(self, name), dtype=complex)
-            if ph.shape != (6,):
-                raise InvalidInput(f"{name} must have 6 entries")
-            if not np.all(np.abs(np.abs(ph) - 1.0) <= DEFAULT_TOL.eq_tol):  # NaN fails too
+            ph = _frozen_array(getattr(self, name), (6,), name)
+            if not is_unimodular(ph):
                 raise InvalidInput(f"{name} must be unimodular")
-            ph = ph.copy()
-            ph.setflags(write=False)
             object.__setattr__(self, name, ph)
 
 
 def random_record(rng, permute_only: bool = False) -> TransformRecord:
     """A random equivalence move drawn from the given numpy Generator."""
-    rp = tuple(int(v) + 1 for v in rng.permutation(6))
-    cp = tuple(int(v) + 1 for v in rng.permutation(6))
+    rp, cp = rng.permutation(6) + 1, rng.permutation(6) + 1
     if permute_only:
         one = np.ones(6, dtype=complex)
         return TransformRecord(rp, cp, one, one)
@@ -154,10 +150,7 @@ def to_lemma_form(H, tol: Tolerances = DEFAULT_TOL) -> LemmaForm | None:
     exist, the first of those is returned unnormalized.  Returns None when
     no candidate exists.
     """
-    A = as_matrix(H)
-    if not is_hadamard(A, tol):
-        raise InvalidInput("lemma form needs a Hadamard matrix (entries of modulus "
-                           "1/sqrt(6), unitary) within the tolerance")
+    A = as_hadamard(H, tol)
     R = (A[:, _COL_PAIRS[:, 1]] * np.conj(A[:, _COL_PAIRS[:, 0]])).T     # (30 pairs, 6 rows)
     # the first row of each triple is gathered apart, so no temporary reaches 128 KiB
     S = mod_pi_sign(R[:, _ROW_TRIPLES[:, 1:]], R[:, _ROW_TRIPLES[:, :1]], tol.eq_tol)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CMat6, DEFAULT_TOL, SQRT6, Tolerances, is_hadamard
-from .errors import DomainError, SolveError
+from .core import CMat6, DEFAULT_TOL, SQRT6, Tolerances, is_hadamard, is_index, is_unimodular
+from .errors import DomainError, InvalidInput, SolveError
 
 __all__ = [
     "m6",
@@ -88,7 +88,7 @@ def solve_m6_entries(a: complex):
     identically.  Only the domain of a is checked here, at the default
     eq_tol: m6 verifies the matrix it assembles from these entries.
     """
-    if not abs(abs(a) - 1.0) <= DEFAULT_TOL.eq_tol:
+    if not is_unimodular(a):
         raise DomainError(f"parameter a must be unimodular, got |a| = {abs(a)}")
     if a == 1.0:
         raise DomainError("a = 1 is an excluded parameter of the family")
@@ -129,7 +129,9 @@ def m6(t: float, tol: Tolerances = DEFAULT_TOL) -> CMat6:
 
 
 def m6_grid(n_per_arc: int = 25):
-    """A standard admissible grid: n points per arc, excluding t = 2pi."""
+    """A standard admissible grid: n >= 1 points per arc, excluding t = 2pi."""
+    if not (is_index(n_per_arc) and n_per_arc >= 1):
+        raise InvalidInput(f"n_per_arc must be a positive integer, got {n_per_arc!r}")
     first = np.linspace(_HALF_PI, np.pi, n_per_arc + 1)[1:]
     second = np.linspace(1.5 * np.pi, _TWO_PI, n_per_arc + 2)[1:-1]
     return np.concatenate([first, second])

@@ -38,7 +38,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import DEFAULT_TOL, SQRT6, ColVec6, Tolerances, as_matrix, is_hadamard
+from .core import (DEFAULT_TOL, SQRT6, ColVec6, Tolerances, as_hadamard, as_indices, as_matrix,
+                   is_hadamard, is_index)
 from .errors import DomainError, InvalidInput
 from .families import m6
 
@@ -91,7 +92,7 @@ class OptimConfig:
 
     def __post_init__(self):
         for name in ("starts", "seed"):
-            if not _is_index(getattr(self, name)):
+            if not is_index(getattr(self, name)):
                 raise InvalidInput(f"{name} must be an integer")
         if self.starts < 1:
             raise InvalidInput("starts must be >= 1")
@@ -120,11 +121,6 @@ class ScanRow:
                 raise InvalidInput("counts must be non-negative on valid rows")
             if self.n_triples > self.n_bases:
                 raise InvalidInput("n_triples cannot exceed n_bases")
-
-
-def _is_index(x):
-    """A Python or numpy integer; bool, float and str are not."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _phases_to_vectors(P):
@@ -163,11 +159,12 @@ def mu_objective(H, phases):
     """Unbiasedness defect Sum_j (6 |<h_j, v>|^2 - 1)^2 and its gradient
     in the five free phases.  Zero exactly when v is unbiased to every
     column of H.  InvalidInput unless H is Hadamard and there are five
-    phases."""
-    A = as_matrix(H)
-    if not is_hadamard(A):
-        raise InvalidInput("mu_objective needs a Hadamard matrix")
-    PT = np.asarray(phases, dtype=float)
+    real phases."""
+    A = as_hadamard(H)
+    try:
+        PT = np.asarray(phases, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"phases must be real numbers: {exc}") from None
     if PT.size != 5:
         raise InvalidInput(f"expected five free phases, got {PT.size}")
     M = _normal_equations(_tables(np.conj(A)), PT.reshape(5, 1))[:, :, 0]
@@ -269,9 +266,7 @@ def find_mu_vectors(H, cfg: OptimConfig = OptimConfig(), rng=None):
     insufficient start budget, not an error.  InvalidInput unless H is
     Hadamard at the default tolerance: for another H the count need not
     mean anything (for I every start converges, so it is the budget)."""
-    A = as_matrix(H)
-    if not is_hadamard(A):
-        raise InvalidInput("find_mu_vectors needs a Hadamard matrix")
+    A = as_hadamard(H)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     P0 = rng.uniform(0.0, 2.0 * np.pi, size=(cfg.starts, 5))
@@ -325,11 +320,11 @@ def verify_triple(H, vectors, clique, tol: Tolerances = DEFAULT_TOL) -> bool:
     make, since it compared columns.  Then every |<h_j, b_k>|^2 must be 1/6
     within residual_tol, the leg H-B.  InvalidInput unless the clique is six
     distinct indices into vectors."""
-    if len(clique) != 6 or len(set(clique)) != 6 or not all(
-            _is_index(i) and 0 <= i < len(vectors) for i in clique):
+    idx = as_indices(clique, "clique", 0, len(vectors) - 1)
+    if len(set(idx)) != 6 or len(idx) != 6:
         raise InvalidInput(f"clique must be six distinct indices below {len(vectors)}")
     A = as_matrix(H)
-    B = np.stack([np.asarray(vectors[i].vector.entries) for i in clique], axis=1)
+    B = np.stack([np.asarray(vectors[i].vector.entries) for i in idx], axis=1)
     if not (is_hadamard(A, tol) and is_hadamard(B, tol)):
         return False
     return bool(np.max(_unbiasedness_residuals(A, B.T)) < tol.residual_tol)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, SQRT6, ColVec6, CMat6, modulus_residual, unitarity_residual
+from .core import (DEFAULT_TOL, SQRT6, ColVec6, CMat6, is_unimodular, modulus_residual,
+                   unitarity_residual)
 from .equivalence import TransformRecord, apply, split_tail
 from .errors import InvalidInput
 from .families import m6
@@ -107,11 +108,10 @@ def run_counterexample(t: float) -> LemmaReport:
         and abs(c2[2] + 1.0) < eq
     )
 
-    tail = c2[3:6]
-    # the claim fixes the order: (-1, s, -s)
-    tail_ok = bool(abs(tail[0] + 1.0) < eq and abs(tail[1] + tail[2]) < eq
-                   and abs(sum(tail) + 1.0) <= eq)
-    s = complex(tail[1]) if tail_ok else None
+    # the claim fixes the order (-1, s, -s): the -1 must come first
+    split = split_tail(c2[3:6], eq)
+    tail_ok = bool(split is not None and split[0] == 0 and abs(sum(c2[3:6]) + 1.0) <= eq)
+    s = split[1] if tail_ok else None
 
     moduli = tuple(float(x) for x in np.abs(A[:, 2]))
     min_modulus = min(moduli)
@@ -144,7 +144,7 @@ def verify_tail_structure(c2_tail):
     if z.shape != (3,):
         raise InvalidInput("tail must consist of exactly three values")
     eq = DEFAULT_TOL.eq_tol
-    if not np.max(np.abs(np.abs(z) - 1.0)) <= eq:
+    if not is_unimodular(z):
         raise InvalidInput("tail values must be unimodular")
     if abs(np.sum(z) + 1.0) > eq:
         return None
@@ -176,7 +176,7 @@ def third_column_witness(s: complex) -> ThirdColumnWitness:
     the columns built from s.  s must be unimodular at the default eq_tol.
     """
     s = complex(s)
-    if not abs(abs(s) - 1.0) <= DEFAULT_TOL.eq_tol:
+    if not is_unimodular(s):
         raise InvalidInput("s must be unimodular")
     c1 = np.ones(6, dtype=complex) / SQRT6
     c2 = np.array([1.0, 1.0, -1.0, -1.0, s, -s]) / SQRT6

@@ -32,6 +32,16 @@ def test_submatrix_loc_validation():
         SubmatrixLoc((1, 1), (2, 3))   # repeated
     with pytest.raises(InvalidInput):
         SubmatrixLoc((), (1,))
+    # floats, bools and strings are refused, not truncated to indices
+    for bad in ((1.9, 2.2, 3), (True, 2), (1.0, 2.0), ("1", "2"), "12", None, 3):
+        with pytest.raises(InvalidInput, match="rows"):
+            SubmatrixLoc(bad, (1,))
+        with pytest.raises(InvalidInput, match="cols"):
+            SubmatrixLoc((1,), bad)
+    for rows in (np.array([1, 2, 3]), np.array([1, 2, 3], dtype=np.int8), [1, 2, 3], range(1, 4)):
+        loc = SubmatrixLoc(rows, rows)
+        assert loc.rows == loc.cols == (1, 2, 3)
+        assert all(type(v) is int for v in loc.rows)
 
 
 def test_f6_real_entry_count_vs_parity_oracle(f6):
@@ -61,6 +71,13 @@ def test_find_real_submatrices_dimension_checks(f6):
         find_real_submatrices(f6, 3, 7)
     with pytest.raises(InvalidInput):
         find_real_submatrices_up_to_rephasing(f6, 7, 1)
+    # True would pass 1 <= p <= 6 as 1, and 2.5 would compare as a size
+    for p, q in ((True, 2), (3, 2.0), (2.5, 2), ("3", 2)):
+        with pytest.raises(InvalidInput):
+            find_real_submatrices(f6, p, q)
+        with pytest.raises(InvalidInput):
+            find_real_submatrices_up_to_rephasing(f6, p, q)
+    assert len(find_real_submatrices(f6, np.int64(1), np.uint8(2))) == 34
 
 
 def test_real_submatrices_raw_subset_of_rephased(f6, s6mat, b6_generic):
@@ -114,6 +131,10 @@ def test_find_unitary_submatrices_bounds(f6):
         find_unitary_submatrices(f6, 1)
     with pytest.raises(InvalidInput):
         find_unitary_submatrices(f6, 7)
+    for k in (2.5, 3.0, True, "3"):
+        with pytest.raises(InvalidInput):
+            find_unitary_submatrices(f6, k)
+    assert len(find_unitary_submatrices(f6, np.int64(3))) == 28
     # the full matrix is unitary, so k = 6 returns the single full selection
     full = find_unitary_submatrices(f6, 6)
     assert len(full) == 1

@@ -20,6 +20,7 @@ from mub6 import (
     matrix_to_json,
     unitarity_residual,
 )
+from mub6.core import is_unimodular
 
 
 def test_tolerances_defaults():
@@ -60,6 +61,48 @@ def test_no_tolerance_where_none_decides(func):
     assert mub6.OptimConfig().tol is DEFAULT_TOL
     with pytest.raises(TypeError):
         mub6.OptimConfig(tol=DEFAULT_TOL)
+
+
+def _planted_block():
+    """A unimodular non-Hadamard matrix with a real (1, -1) 3x2 block."""
+    A = np.exp(2j * np.pi * np.random.default_rng(7).random((6, 6)))
+    A[:3, :2] = [[1, 1], [1, 1], [1, -1]]
+    return A / SQRT6
+
+
+NON_HADAMARD = {
+    "planted": _planted_block(),
+    "unscaled_f6": mub6.fourier_f6().entries * SQRT6,
+    "huge_f6": 1e200 * mub6.fourier_f6().entries,
+    "identity": np.eye(6),
+}
+NEEDS_HADAMARD = {
+    "mu_objective": lambda A, tol: mub6.mu_objective(A, np.zeros(5)),
+    "find_mu_vectors": lambda A, tol: mub6.find_mu_vectors(A, mub6.OptimConfig(starts=20)),
+    "analyze": mub6.analyze,
+    "to_lemma_form": mub6.to_lemma_form,
+}
+
+
+@pytest.mark.parametrize("func", NEEDS_HADAMARD)
+@pytest.mark.parametrize("matrix", NON_HADAMARD)
+def test_one_hadamard_refusal(func, matrix):
+    """Every entry point that needs a Hadamard input refuses the same inputs
+    with the same message, which names the tolerance it used."""
+    call = NEEDS_HADAMARD[func]
+    with pytest.raises(InvalidInput) as exc:
+        call(NON_HADAMARD[matrix], DEFAULT_TOL)
+    assert str(exc.value) == "not a Hadamard matrix within eq_tol = 1e-09"
+    if func in ("analyze", "to_lemma_form"):
+        with pytest.raises(InvalidInput, match=r"^not a Hadamard matrix within eq_tol = 1e-06$"):
+            call(CMat6(NON_HADAMARD[matrix]), Tolerances(eq_tol=1e-6))
+
+
+def test_is_unimodular():
+    assert is_unimodular(1j) and is_unimodular(np.exp(1j * np.arange(6)))
+    assert is_unimodular(1 + 0.9e-9) and not is_unimodular(1 + 1.1e-9)
+    for z in (0.0, 2.0, np.nan, np.inf, complex(np.nan, 1), np.array([1, 1j, np.nan])):
+        assert not is_unimodular(z)
 
 
 def test_array_records_compare_by_identity():

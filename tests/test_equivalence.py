@@ -26,6 +26,17 @@ def test_record_validates_permutations():
         TransformRecord((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), one * 2.0, one)
     with pytest.raises(InvalidInput):
         TransformRecord((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), one[:5], one)
+    # floats, bools and strings are refused, not truncated to a permutation
+    for perm in ((1.5, 2, 3, 4, 5, 6.9), (True, 2, 3, 4, 5, 6), np.arange(1.0, 7.0),
+                 ("1", "2", "3", "4", "5", "6"), "123456", 6, None):
+        with pytest.raises(InvalidInput, match="row_perm"):
+            TransformRecord(perm, (1, 2, 3, 4, 5, 6), one, one)
+        with pytest.raises(InvalidInput, match="col_perm"):
+            TransformRecord((1, 2, 3, 4, 5, 6), perm, one, one)
+    for perm in (np.arange(1, 7), np.arange(1, 7, dtype=np.uint8), [1, 2, 3, 4, 5, 6], range(1, 7)):
+        r = TransformRecord(perm, perm, one, one)
+        assert r.row_perm == r.col_perm == (1, 2, 3, 4, 5, 6)
+        assert all(type(v) is int for v in r.row_perm + r.col_perm)
 
 
 @pytest.mark.parametrize("side", ["row_phases", "col_phases"])

@@ -74,6 +74,16 @@ def test_m6_grid_is_fifty_admissible_points():
     assert max(g) < 2 * PI
 
 
+def test_m6_grid_refuses_non_integer_counts():
+    """2.5 used to raise numpy's TypeError, True to give a two-point grid and
+    -5 numpy's ValueError; -1 and 0 gave an empty grid."""
+    for n in (2.5, 2.0, True, -5, -1, 0, "3", None):
+        with pytest.raises(InvalidInput, match="n_per_arc"):
+            m6_grid(n)
+    assert np.array_equal(m6_grid(np.int64(5)), m6_grid(5))
+    assert len(m6_grid(1)) == 2
+
+
 def test_m6_hadamard_and_symmetric_on_grid():
     for t in m6_grid():
         H = m6(t)

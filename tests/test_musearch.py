@@ -258,7 +258,8 @@ def test_verify_triple_refuses_a_malformed_clique(f6):
     vecs = find_mu_vectors(f6, OptimConfig(starts=2000, seed=0))
     assert verify_triple(f6, vecs, np.array(extract_bases(vecs)[0]))
     for clique in ((0, 1, 2, 3, 4, 999), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5, 6),
-                   (-1, 1, 2, 3, 4, 5), (0, 0, 1, 2, 3, 4), (0, 1.0, 2, 3, 4, 5)):
+                   (-1, 1, 2, 3, 4, 5), (0, 0, 1, 2, 3, 4), (0, 1.0, 2, 3, 4, 5),
+                   [[1]] * 6, 5, np.arange(6.0), (True, 1, 2, 3, 4, 5), "012345", None):
         with pytest.raises(InvalidInput, match="clique"):
             verify_triple(f6, vecs, clique)
 
@@ -273,6 +274,9 @@ def test_search_refuses_a_non_hadamard_matrix(f6):
             mu_objective(A, np.zeros(5))
     for phases in (np.zeros(4), np.zeros(6), []):
         with pytest.raises(InvalidInput, match="five"):
+            mu_objective(f6, phases)
+    for phases in (["a"] * 5, [1j] * 5, [[0.0], [0.0, 0.0]]):
+        with pytest.raises(InvalidInput, match="real"):
             mu_objective(f6, phases)
 
 

@@ -7,6 +7,7 @@ kept small so the suite stays fast.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import mub6
 from mub6 import SQRT6, matrix_to_json
 from mub6.cli import main
+from mub6.core import as_indices, is_index
 
 FAMILIES = ("f6", "m6", "b6", "s6")
 
@@ -59,6 +61,56 @@ def test_permutations_and_column_phases_keep_product_triples(H, seed):
     move = mub6.TransformRecord(rec.row_perm, rec.col_perm, np.ones(6), rec.col_phases)
     G = mub6.apply(H, move)
     assert mub6.product_triple_exists(G) == mub6.product_triple_exists(H)
+
+
+# ------------------------------------------------------- integer arguments
+
+scalars = st.one_of(st.integers(-2, 8), st.floats(-2, 8), st.floats(), st.booleans(),
+                    st.text(max_size=2), st.none())
+index_args = st.one_of(scalars, st.text(max_size=7),
+                       st.lists(st.one_of(scalars, st.lists(scalars, max_size=2)), max_size=7))
+
+
+@functools.cache
+def _f6_vectors():
+    return mub6.find_mu_vectors(mub6.fourier_f6(), mub6.OptimConfig(starts=200))
+
+
+def _kept(call):
+    """call()'s result, or None when it raises InvalidInput; any other
+    exception fails the test."""
+    try:
+        return call()
+    except mub6.InvalidInput:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(index_args)
+@example([1, 2, 3])
+@example(list(range(1, 7)))
+@example([1.0, 2, 3])
+@example([True, 2, 3])
+@example([[1]] * 6)
+def test_index_arguments_are_exact_or_refused(values):
+    """as_indices and every argument it checks keep integers exactly and
+    refuse floats, bools, strings, None and nested lists with InvalidInput,
+    never numpy's TypeError or ValueError.  So do the scalar index
+    arguments, which is_index checks."""
+    exact = isinstance(values, (list, str)) and all(map(is_index, values))   # "" is ()
+    one, F6, vecs = np.ones(6), mub6.fourier_f6(), _f6_vectors()
+    for call in (lambda: as_indices(values, "v", 1, 6),
+                 lambda: mub6.SubmatrixLoc(values, (1,)).rows,
+                 lambda: mub6.SubmatrixLoc((1,), values).cols,
+                 lambda: mub6.TransformRecord(values, range(1, 7), one, one).row_perm,
+                 lambda: mub6.TransformRecord(range(1, 7), values, one, one).col_perm):
+        got = _kept(call)
+        assert got is None or (exact and got == tuple(values))
+    assert _kept(lambda: mub6.verify_triple(F6, vecs, values)) is None or exact
+    for call in (lambda: mub6.m6_grid(values), lambda: mub6.find_unitary_submatrices(F6, values),
+                 lambda: mub6.find_real_submatrices(F6, values, 2),
+                 lambda: mub6.find_real_submatrices_up_to_rephasing(F6, 2, values)):
+        assert _kept(call) is None or is_index(values)
 
 
 # ------------------------------------------------------------ CLI fuzzing
