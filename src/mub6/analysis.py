@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (DEFAULT_TOL, SQRT6, Tolerances, as_hadamard, as_indices, as_matrix, as_vector,
-                   is_index, mod_pi_sign)
+                   is_index, label_of, mod_pi_sign)
 from .errors import InvalidInput
 
 __all__ = [
@@ -249,7 +249,7 @@ def analyze(H, tol: Tolerances = DEFAULT_TOL, sections=ALL_SECTIONS) -> Analysis
     if unknown := sorted(set(sections) - SECTION_FIELDS.keys()):
         raise InvalidInput(f"unknown analyze sections {unknown}; known: {list(ALL_SECTIONS)}")
     as_hadamard(H, tol)
-    fields = {"label": getattr(H, "label", None)}
+    fields = {"label": label_of(H)}
     if "real" in sections:
         fields["real_entry_count"] = count_real_entries(H, tol)
         fields["exceeds_bound"] = exceeds_real_bound(H, tol)

@@ -5,13 +5,14 @@ for a Hadamard matrix, all have modulus 1/sqrt(6).  Predicates take their
 tolerance from a Tolerances value, and residuals are measured in the
 entry-wise max norm so that per-entry claims ("this element must be zero")
 translate directly into the checks.  Each input rule has one owner here:
-as_matrix (shape, finite entries), as_hadamard (the refusal of a
-non-Hadamard input), is_unimodular, and as_indices (integers; bool, float
-and str are refused).  Fixed cut-offs remain: entries below 1e-12 count
-as zero, hence phaseless, in equivalence.dephase and in
-analysis._real_up_to_phase; to_lemma_form reads the (-1, s, -s) tail
-within 10 * eq_tol; and families._pair_from_sum forgives a rounding of
-1e-12 below zero under its square root.
+as_real (one int or float) and as_array (ints, floats, and complex numbers
+where asked for; never text, bool or None), as_matrix (shape, finite
+entries), as_hadamard (the refusal of a non-Hadamard input),
+is_unimodular, as_indices (integers) and label_of.  Fixed cut-offs remain:
+entries below 1e-12 count as zero, hence phaseless, in equivalence.dephase
+and in analysis._real_up_to_phase; to_lemma_form reads the (-1, s, -s)
+tail within 10 * eq_tol; and families._pair_from_sum forgives a rounding
+of 1e-12 below zero under its square root.
 """
 
 from __future__ import annotations
@@ -60,17 +61,40 @@ class Tolerances:
 
     def __post_init__(self):
         # below 1 a zero entry fails the modulus test; NaN fails this form too
-        if not 0.0 < self.eq_tol < 1.0:
+        if not 0.0 < as_real(self.eq_tol, "eq_tol") < 1.0:
             raise InvalidInput("eq_tol must lie strictly between 0 and 1")
+
+
+def is_index(x) -> bool:
+    """A Python or numpy integer; bool, float and str are not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def as_real(x, name) -> float:
+    """x as a float if it is a Python or numpy float or an int a double holds."""
+    if isinstance(x, (float, np.floating)) or (is_index(x) and -_MAX_DOUBLE <= x <= _MAX_DOUBLE):
+        return float(x)
+    raise InvalidInput(f"{name} must be a real number, got {x!r}")
 
 
 DEFAULT_TOL = Tolerances()
 
 
-def _frozen_array(a, shape, name):
-    arr = np.asarray(a, dtype=complex)
-    if arr.shape != shape:
+def as_array(a, dtype, name, shape=None) -> np.ndarray:
+    """np.asarray(a, dtype) if numpy reads a as numbers of that kind and shape."""
+    try:
+        arr = np.asarray(a)
+    except ValueError:      # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        raise InvalidInput(f"{name} must be {'complex' if dtype is complex else 'real'} numbers")
+    if shape is not None and arr.shape != shape:
         raise InvalidInput(f"{name} must have shape {shape}, got {arr.shape}")
+    return arr.astype(dtype, copy=False)
+
+
+def _frozen_array(a, shape, name):
+    arr = as_array(a, complex, name, shape)
     if not np.isfinite(arr).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     arr = arr.copy()
@@ -117,9 +141,8 @@ def as_vector(v) -> np.ndarray:
     return _frozen_array(v, (6,), "vector")
 
 
-def is_index(x) -> bool:
-    """A Python or numpy integer; bool, float and str are not."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+def label_of(M):
+    return M.label if isinstance(M, CMat6) else None
 
 
 def as_indices(values, name, lo, hi) -> tuple:
@@ -195,7 +218,7 @@ def mod_pi_sign(z, anchor, eq_tol):
 
 def matrix_to_json(M) -> str:
     A = as_matrix(M)
-    label = M.label if isinstance(M, CMat6) else None
+    label = label_of(M)
     rows = []
     for i in range(6):
         cells = ", ".join(

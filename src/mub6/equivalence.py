@@ -24,7 +24,7 @@ from itertools import permutations
 import numpy as np
 
 from .core import (CMat6, DEFAULT_TOL, SQRT6, Tolerances, _frozen_array, as_hadamard, as_indices,
-                   as_matrix, is_unimodular, mod_pi_sign)
+                   as_matrix, is_unimodular, label_of, mod_pi_sign)
 from .errors import InvalidInput, SolveError
 
 __all__ = [
@@ -80,8 +80,7 @@ def apply(H, r: TransformRecord) -> CMat6:
     rows = np.array(r.row_perm) - 1
     cols = np.array(r.col_perm) - 1
     B = r.row_phases[:, None] * A[np.ix_(rows, cols)] * r.col_phases[None, :]
-    label = H.label if isinstance(H, CMat6) else None
-    return CMat6(B, label)
+    return CMat6(B, label_of(H))
 
 
 def dephase(H):
@@ -101,7 +100,7 @@ def dephase(H):
         cph = np.conj(B[0, :] / np.abs(B[0, :]))
         B = B * cph[None, :]
     # the matrix first: on overflow its finiteness error is the one reported
-    D = CMat6(B, H.label if isinstance(H, CMat6) else None)
+    D = CMat6(B, label_of(H))
     return D, TransformRecord((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), rph, cph)
 
 
@@ -175,4 +174,4 @@ def to_lemma_form(H, tol: Tolerances = DEFAULT_TOL) -> LemmaForm | None:
             raise SolveError("second column tail does not read (-1, s, -s)")
         s = split[1]
     rec = TransformRecord(row_perm, col_perm, drec.row_phases, drec.col_phases)
-    return LemmaForm(CMat6(D.entries, H.label if isinstance(H, CMat6) else None), y, x, s, rec)
+    return LemmaForm(CMat6(D.entries, label_of(H)), y, x, s, rec)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CMat6, DEFAULT_TOL, SQRT6, Tolerances, is_hadamard, is_index, is_unimodular
+from .core import (CMat6, DEFAULT_TOL, SQRT6, Tolerances, as_array, as_real, is_hadamard, is_index,
+                   is_unimodular)
 from .errors import DomainError, InvalidInput, SolveError
 
 __all__ = [
@@ -54,7 +55,8 @@ def _checked(H: CMat6, tol: Tolerances = DEFAULT_TOL) -> CMat6:
 
 
 def is_admissible_t(t: float) -> bool:
-    """Membership in (pi/2, pi] u (3pi/2, 2pi), taking t at face value."""
+    """Membership in (pi/2, pi] u (3pi/2, 2pi) of a real t (else InvalidInput)."""
+    t = as_real(t, "t")
     return (_HALF_PI < t <= np.pi) or (1.5 * np.pi < t < _TWO_PI)
 
 
@@ -88,6 +90,7 @@ def solve_m6_entries(a: complex):
     identically.  Only the domain of a is checked here, at the default
     eq_tol: m6 verifies the matrix it assembles from these entries.
     """
+    a = as_array(a, complex, "a", ())[()]
     if not is_unimodular(a):
         raise DomainError(f"parameter a must be unimodular, got |a| = {abs(a)}")
     if a == 1.0:
@@ -123,7 +126,7 @@ def m6(t: float, tol: Tolerances = DEFAULT_TOL) -> CMat6:
         raise DomainError(
             f"t = {t} outside the admissible set (pi/2, pi] u (3pi/2, 2pi)"
         )
-    a = np.exp(1j * t)
+    a = np.exp(1j * as_real(t, "t"))
     H = _assemble_m6(a, *solve_m6_entries(a))
     return _checked(CMat6(H, label=f"m6(t={t!r})"), tol)
 
@@ -145,11 +148,12 @@ def m6_grid(n_per_arc: int = 25):
 # added to pi j k / 3 unreduced would swamp that term in rounding.
 
 def fourier_f6(x1: float = 0.0, x2: float = 0.0) -> CMat6:
-    if not (np.isfinite(x1) and np.isfinite(x2)):
+    p1, p2 = as_real(x1, "x1"), as_real(x2, "x2")
+    if not (np.isfinite(p1) and np.isfinite(p2)):
         raise DomainError(f"f6 phases must be finite, got x1 = {x1!r}, x2 = {x2!r}")
     j, k = np.indices((6, 6))
-    R = (((j % 2 == 1) & (k % 3 == 1)) * np.mod(x1, _TWO_PI)
-         + ((j % 2 == 1) & (k % 3 == 2)) * np.mod(x2, _TWO_PI))
+    R = (((j % 2 == 1) & (k % 3 == 1)) * np.mod(p1, _TWO_PI)
+         + ((j % 2 == 1) & (k % 3 == 2)) * np.mod(p2, _TWO_PI))
     H = np.exp(1j * (np.pi / 3.0) * j * k + 1j * R) / SQRT6
     return _checked(CMat6(H, label=f"f6(x1={x1!r}, x2={x2!r})"))
 
@@ -183,15 +187,16 @@ B6_THETA_MAX = _TWO_PI - B6_THETA_MIN
 
 def b6(theta: float) -> CMat6:
     """Self-adjoint family member at angle theta within the admissible arc."""
-    if not (B6_THETA_MIN <= theta <= B6_THETA_MAX):
+    th = as_real(theta, "theta")
+    if not (B6_THETA_MIN <= th <= B6_THETA_MAX):
         raise DomainError(
             f"theta = {theta} outside the admissible arc "
             f"[{B6_THETA_MIN!r}, {B6_THETA_MAX!r}]"
         )
-    amp = np.sqrt(1.0 + np.sin(theta) ** 2)
-    psi = np.arctan2(-np.sin(theta), 1.0)
-    beta = psi + np.arccos(np.clip((1.0 + np.cos(theta)) / amp, -1.0, 1.0))
-    p, q = np.exp(1j * theta), np.exp(1j * beta)
+    amp = np.sqrt(1.0 + np.sin(th) ** 2)
+    psi = np.arctan2(-np.sin(th), 1.0)
+    beta = psi + np.arccos(np.clip((1.0 + np.cos(th)) / amp, -1.0, 1.0))
+    p, q = np.exp(1j * th), np.exp(1j * beta)
     pb, qb = np.conj(p), np.conj(q)
     s = (q - pb - 2.0) / (1.0 - pb * q)
     r = -pb * q * s

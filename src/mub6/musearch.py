@@ -38,8 +38,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, SQRT6, ColVec6, Tolerances, as_hadamard, as_indices, as_matrix,
-                   is_hadamard, is_index)
+from .core import (DEFAULT_TOL, SQRT6, ColVec6, Tolerances, as_array, as_hadamard, as_indices,
+                   as_matrix, as_real, is_hadamard, is_index)
 from .errors import DomainError, InvalidInput
 from .families import m6
 
@@ -75,10 +75,9 @@ class MUVector:
     residual: float
 
     def __post_init__(self):
-        if len(self.phases) != 5:
-            raise InvalidInput("expected five free phases")
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
-        object.__setattr__(self, "residual", float(self.residual))
+        phases = as_array(self.phases, float, "phases", (5,)).tolist()
+        object.__setattr__(self, "phases", tuple(phases))
+        object.__setattr__(self, "residual", as_real(self.residual, "residual"))
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,6 @@ class ScanRow:
 
 def _phases_to_vectors(P):
     """(..., 5) phase rows to (..., 6) unit vectors with pinned first entry."""
-    P = np.asarray(P, dtype=float)
     V = np.empty(P.shape[:-1] + (6,), dtype=complex)
     V[..., 0] = 1.0 / SQRT6
     V[..., 1:] = np.exp(1j * P) / SQRT6
@@ -159,14 +157,11 @@ def mu_objective(H, phases):
     """Unbiasedness defect Sum_j (6 |<h_j, v>|^2 - 1)^2 and its gradient
     in the five free phases.  Zero exactly when v is unbiased to every
     column of H.  InvalidInput unless H is Hadamard and there are five
-    real phases."""
+    finite real phases."""
     A = as_hadamard(H)
-    try:
-        PT = np.asarray(phases, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"phases must be real numbers: {exc}") from None
-    if PT.size != 5:
-        raise InvalidInput(f"expected five free phases, got {PT.size}")
+    PT = as_array(phases, float, "phases")
+    if PT.size != 5 or not np.isfinite(PT).all():
+        raise InvalidInput(f"expected five finite free phases, got {PT.ravel()!r}")
     M = _normal_equations(_tables(np.conj(A)), PT.reshape(5, 1))[:, :, 0]
     return float(M[5, 5]), 2.0 * M[:5, 5]
 
@@ -336,7 +331,7 @@ def scan_m6(t_values, cfg: OptimConfig = OptimConfig()):
     aborting the sweep.  Each row draws from its own child of cfg.seed, so results do
     not depend on how the grid is chunked.  Bases and triples are decided at
     the default tolerance, so no setting moves a count."""
-    ts = [float(t) for t in t_values]
+    ts = [as_real(t, "t") for t in t_values]
     children = np.random.SeedSequence(cfg.seed).spawn(len(ts))
     rows = []
     for idx, t in enumerate(ts):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, SQRT6, ColVec6, CMat6, is_unimodular, modulus_residual,
-                   unitarity_residual)
+from .core import (DEFAULT_TOL, SQRT6, ColVec6, CMat6, as_array, as_real, is_unimodular,
+                   modulus_residual, unitarity_residual)
 from .equivalence import TransformRecord, apply, split_tail
 from .errors import InvalidInput
 from .families import m6
@@ -117,7 +117,7 @@ def run_counterexample(t: float) -> LemmaReport:
     min_modulus = min(moduli)
     refuted = is_hadamard_ok and lemma_form_ok and tail_ok and min_modulus > 1.0 / SQRT6 - eq
     return LemmaReport(
-        t=float(t),
+        t=as_real(t, "t"),
         is_hadamard_ok=is_hadamard_ok,
         hadamard_residual=hadamard_residual,
         lemma_form_ok=lemma_form_ok,
@@ -140,9 +140,7 @@ def verify_tail_structure(c2_tail):
     to -1 within eq_tol, the premise the pattern encodes.  All tests are
     made at the default eq_tol.
     """
-    z = np.asarray(c2_tail, dtype=complex).reshape(-1)
-    if z.shape != (3,):
-        raise InvalidInput("tail must consist of exactly three values")
+    z = as_array(c2_tail, complex, "tail", (3,))
     eq = DEFAULT_TOL.eq_tol
     if not is_unimodular(z):
         raise InvalidInput("tail values must be unimodular")
@@ -175,7 +173,7 @@ def third_column_witness(s: complex) -> ThirdColumnWitness:
     |<c1, v>| and |<c2, v>| are re-computed by direct inner products with
     the columns built from s.  s must be unimodular at the default eq_tol.
     """
-    s = complex(s)
+    s = as_array(s, complex, "s", ()).item()
     if not is_unimodular(s):
         raise InvalidInput("s must be unimodular")
     c1 = np.ones(6, dtype=complex) / SQRT6

@@ -42,6 +42,10 @@ def test_tolerances_validation():
         with pytest.raises(InvalidInput):
             Tolerances(eq_tol=eq_tol)
     assert Tolerances(eq_tol=0.999).eq_tol == 0.999
+    for eq_tol in ("x", "1e-6", None, True, 1e-6j, np.array(1e-6), [1e-6]):
+        with pytest.raises(InvalidInput, match="eq_tol must be a real number"):
+            Tolerances(eq_tol=eq_tol)
+    assert Tolerances(eq_tol=np.float64(1e-6)).eq_tol == 1e-6
 
 
 @pytest.mark.parametrize("func", [mub6.dephase, mub6.submatrix_rank, mub6.is_product_vector,
@@ -137,6 +141,16 @@ def test_cmat6_shape_and_immutability():
     assert H.entries[0, 0] != 99.0
     with pytest.raises(InvalidInput):
         CMat6(np.zeros((5, 6), dtype=complex))
+    # entries numpy cannot read as numbers are refused, not passed through
+    for bad in ([["a"] * 6] * 6, [["1"] * 6] * 6, [[None] * 6] * 6, [[1, 2], [3]],
+                np.eye(6, dtype=bool), "x", None):
+        for call in (CMat6, is_hadamard, mub6.analyze):
+            with pytest.raises(InvalidInput, match="must be complex numbers"):
+                call(bad)
+    for bad in (["a"] * 6, [None] * 6, [[1, 2], [3]], [True] * 6):
+        with pytest.raises(InvalidInput, match="must be complex numbers"):
+            ColVec6(bad)
+    assert np.array_equal(CMat6(np.eye(6, dtype=int)).entries, np.eye(6))
 
 
 def test_cmat6_relabel():

@@ -22,6 +22,9 @@ from mub6 import (
 )
 
 PI = np.pi
+# values that are not one real number: each parameter refuses them with InvalidInput
+NOT_REAL = ("x", "2.0", None, True, np.bool_(True), 2j, np.complex128(2.0), np.array(2.0), [2.0],
+            10**400)
 
 
 def test_admissible_set_boundaries():
@@ -44,6 +47,15 @@ def test_m6_rejects_outside_domain():
     for t in (0.0, 0.4 * PI, PI / 2, 1.2 * PI, 3 * PI / 2, 2 * PI):
         with pytest.raises(DomainError):
             m6(t)
+    for t in NOT_REAL:
+        for call in (m6, is_admissible_t):
+            with pytest.raises(InvalidInput, match="t must be a real number"):
+                call(t)
+    # numpy reals give the Python float's bits and keep the caller's repr in the label
+    for t in (np.float64(2.0), np.float32(2.0), np.int64(3), 3):
+        H = m6(t)
+        assert np.array_equal(H.entries, m6(float(t)).entries)
+        assert H.label == f"m6(t={t!r})"
 
 
 def test_solver_rejects_non_unimodular_a():
@@ -53,6 +65,11 @@ def test_solver_rejects_non_unimodular_a():
         solve_m6_entries(complex("nan"))
     with pytest.raises(DomainError):
         solve_m6_entries(1.0 + 0.0j)  # a = 1 is the excluded endpoint
+    for a in ("x", "1j", None, True, [1j, 1j], [[1j]]):
+        with pytest.raises(InvalidInput, match="^a must"):
+            solve_m6_entries(a)
+    a = np.exp(2.5j)
+    assert solve_m6_entries(a) == solve_m6_entries(complex(a)) == solve_m6_entries(np.array(a))
 
 
 def test_m6_tolerance_reaches_only_the_hadamard_check():
@@ -248,6 +265,18 @@ def test_fourier_f6_refuses_non_finite_phases(bad):
         fourier_f6(0.0, bad)
 
 
+def test_fourier_f6_refuses_non_real_phases():
+    for bad in NOT_REAL:
+        with pytest.raises(InvalidInput, match="x1 must be a real number"):
+            fourier_f6(bad, 0.0)
+        with pytest.raises(InvalidInput, match="x2 must be a real number"):
+            fourier_f6(0.0, bad)
+    for x in (np.float64(0.3), np.float32(0.3), np.int64(4)):
+        F = fourier_f6(x, 1.1)
+        assert np.array_equal(F.entries, fourier_f6(float(x), 1.1).entries)
+        assert F.label == f"f6(x1={x!r}, x2=1.1)"
+
+
 def test_b6_arc_and_rejections():
     assert B6_THETA_MIN == pytest.approx(np.arccos((np.sqrt(3) - 1) / 2))
     assert B6_THETA_MAX == pytest.approx(2 * PI - B6_THETA_MIN)
@@ -256,6 +285,12 @@ def test_b6_arc_and_rejections():
     for theta in (0.0, B6_THETA_MIN - 1e-3, B6_THETA_MAX + 1e-3, 2 * PI):
         with pytest.raises(DomainError):
             b6(theta)
+    for theta in NOT_REAL:
+        with pytest.raises(InvalidInput, match="theta must be a real number"):
+            b6(theta)
+    for theta in (np.float64(2.0), np.float32(2.0), np.int64(3)):
+        assert np.array_equal(b6(theta).entries, b6(float(theta)).entries)
+        assert b6(theta).label == f"b6(theta={theta!r})"
 
 
 def test_b6_is_self_adjoint():

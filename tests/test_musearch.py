@@ -47,6 +47,15 @@ def test_muvector_validation(f6):
     v = np.ones(6, dtype=complex) / SQRT6
     with pytest.raises(InvalidInput):
         MUVector(phases=(0.0, 0.0), vector=mub6.ColVec6(v), residual=0.0)
+    for phases in (np.full(5, 1j), ["a"] * 5, [None] * 5, [True] * 5, [[0.0], [0.0, 0.0]]):
+        with pytest.raises(InvalidInput, match="phases must be real"):
+            MUVector(phases=phases, vector=mub6.ColVec6(v), residual=0.0)
+    for residual in (1j, "0", None, True, np.zeros(1)):
+        with pytest.raises(InvalidInput, match="residual must be a real number"):
+            MUVector(phases=(0.0,) * 5, vector=mub6.ColVec6(v), residual=residual)
+    m = MUVector(np.arange(5, dtype=np.float32), mub6.ColVec6(v), np.float64(1.0))
+    assert m.phases == (0.0, 1.0, 2.0, 3.0, 4.0) and type(m.phases[0]) is float
+    assert type(m.residual) is float
 
 
 def test_scanrow_validation():
@@ -275,9 +284,16 @@ def test_search_refuses_a_non_hadamard_matrix(f6):
     for phases in (np.zeros(4), np.zeros(6), []):
         with pytest.raises(InvalidInput, match="five"):
             mu_objective(f6, phases)
-    for phases in (["a"] * 5, [1j] * 5, [[0.0], [0.0, 0.0]]):
+    for phases in (["a"] * 5, [1j] * 5, np.full(5, 1j), [None] * 5, ["1"] * 5, [True] * 5,
+                   [[0.0], [0.0, 0.0]]):
         with pytest.raises(InvalidInput, match="real"):
             mu_objective(f6, phases)
+    for phases in (np.full(5, np.inf), [0.0, 0.0, np.nan, 0.0, 0.0]):
+        with pytest.raises(InvalidInput, match="finite"):
+            mu_objective(f6, phases)
+    ref_value, ref_grad = mu_objective(f6, np.arange(5.0))
+    value, grad = mu_objective(f6, np.arange(5, dtype=np.int64))
+    assert value == ref_value and np.array_equal(grad, ref_grad)
 
 
 def test_extract_bases_refuses_eq_tol_above_one_sixth(f6):
@@ -303,6 +319,13 @@ def test_scan_rows_and_error_isolation():
     for r in rows:
         if r.error is None and r.n_mu_vectors > 0:
             assert r.max_residual < cfg.tol.residual_tol
+    # a t that is not one real number stops the sweep: it is not a point of the family
+    for ts in (["2.0"], [2.0, True], [2 + 1j], [np.complex128(2.0)], [np.array(2.0)], [None],
+               [[2.0]]):
+        with pytest.raises(InvalidInput, match="t must be a real number"):
+            scan_m6(ts, cfg)
+    t32 = np.array([0.25 * PI], dtype=np.float32)
+    assert [r.t for r in scan_m6(t32, cfg)] == [float(t32[0])]
 
 
 def test_scan_raises_on_a_failed_constructor_check(monkeypatch):

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import mub6
 from mub6 import SQRT6, matrix_to_json
 from mub6.cli import main
-from mub6.core import as_indices, is_index
+from mub6.core import as_array, as_indices, as_real, is_index
 
 FAMILIES = ("f6", "m6", "b6", "s6")
 
@@ -111,6 +112,69 @@ def test_index_arguments_are_exact_or_refused(values):
                  lambda: mub6.find_real_submatrices(F6, values, 2),
                  lambda: mub6.find_real_submatrices_up_to_rephasing(F6, 2, values)):
         assert _kept(call) is None or is_index(values)
+
+
+# ---------------------------------------------------------- real arguments
+
+real_scalars = st.one_of(st.floats(), st.integers(), st.floats().map(np.float64),
+                         st.floats(width=32).map(np.float32),
+                         st.integers(-2**63, 2**63 - 1).map(np.int64))
+odd_scalars = st.one_of(st.text(max_size=3), st.none(), st.booleans(), st.booleans().map(np.bool_),
+                        st.complex_numbers(), st.complex_numbers().map(np.complex128))
+scalar_lists = st.lists(st.one_of(real_scalars, odd_scalars), max_size=7)
+real_args = st.one_of(real_scalars, odd_scalars, real_scalars.map(np.array), scalar_lists,
+                      scalar_lists.map(np.array),
+                      st.lists(st.lists(real_scalars, max_size=2), min_size=1, max_size=6))
+
+
+def _read(call):
+    """call()'s result, or None when it raises InvalidInput or DomainError;
+    any other exception, and any warning, fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call()
+        except (mub6.InvalidInput, mub6.DomainError):
+            return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(real_args)
+@example(np.full(5, 1j))
+@example([1j] * 6)
+@example("2.0")
+@example(True)
+@example(np.array(2.0))
+@example([[1, 2], [3]])
+@example(10**400)
+@example(np.int64(-2**63))
+@example(np.float32(2.0))
+def test_real_arguments_are_read_or_refused(x):
+    """as_real and as_array, and every public argument they read, either
+    accept x or refuse it with InvalidInput (or DomainError for a real but
+    inadmissible value): never numpy's TypeError or ValueError, and never a
+    warning such as ComplexWarning, which marked a dropped imaginary part.
+    as_real keeps a Python or numpy real exactly and refuses everything else."""
+    real = isinstance(x, (float, np.floating)) or (
+        is_index(x) and abs(int(x)) <= float(np.finfo(float).max))
+    got = _read(lambda: as_real(x, "x"))
+    assert (got is not None) == real
+    assert got is None or (type(got) is float and (got == float(x) or np.isnan(got)))
+    for dtype in (float, complex):
+        got = _read(lambda: as_array(x, dtype, "x"))
+        assert got is None or got.dtype == dtype
+    F6, v = mub6.fourier_f6(), mub6.ColVec6(np.ones(6) / SQRT6)
+    cfg = mub6.OptimConfig(starts=1)
+    for call in (lambda: mub6.Tolerances(x), lambda: mub6.is_admissible_t(x), lambda: mub6.m6(x),
+                 lambda: mub6.b6(x), lambda: mub6.fourier_f6(x, 0.0),
+                 lambda: mub6.fourier_f6(0.0, x), lambda: mub6.run_counterexample(x),
+                 lambda: mub6.scan_m6([x], cfg), lambda: mub6.MUVector((0.0,) * 5, v, x)):
+        assert _read(call) is None or real
+    for call in (lambda: mub6.solve_m6_entries(x), lambda: mub6.third_column_witness(x),
+                 lambda: mub6.verify_tail_structure(x), lambda: mub6.mu_objective(F6, x),
+                 lambda: mub6.MUVector(x, v, 0.0), lambda: mub6.CMat6(x), lambda: mub6.ColVec6(x),
+                 lambda: mub6.is_hadamard(x)):
+        _read(call)
 
 
 # ------------------------------------------------------------ CLI fuzzing

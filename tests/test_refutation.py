@@ -35,6 +35,11 @@ def test_pipeline_refutes_at_sample_points(t):
 def test_pipeline_rejects_inadmissible_parameter():
     with pytest.raises(DomainError):
         run_counterexample(0.4 * PI)
+    for t in ("x", "2.0", None, True, 2j, np.array(2.0), [2.0]):
+        with pytest.raises(InvalidInput, match="t must be a real number"):
+            run_counterexample(t)
+    rep = run_counterexample(np.float64(2.0))
+    assert type(rep.t) is float and rep.t == 2.0
 
 
 def test_pipeline_record_replays():
@@ -82,6 +87,9 @@ def test_tail_structure_rejects_non_unimodular():
         verify_tail_structure((0.5, -1.0, 0.5))
     with pytest.raises(InvalidInput):
         verify_tail_structure((1.0, 1.0))
+    for bad in (["a", "b", "c"], [[1, 2], [3]], (None,) * 3, (True,) * 3, [[-1.0, 1j, -1j]], -1.0):
+        with pytest.raises(InvalidInput, match="^tail must"):
+            verify_tail_structure(bad)
     for bad in (complex("nan"), complex(1.0, float("nan")), complex("inf")):
         with pytest.raises(InvalidInput, match="unimodular"):
             verify_tail_structure((-1.0, bad, 1.0))
@@ -170,6 +178,9 @@ def test_witness_exists_for_assorted_s(s):
 def test_witness_rejects_non_unimodular_s():
     with pytest.raises(InvalidInput):
         third_column_witness(0.5)
+    for s in (None, "x", "1j", True, [1j, 1j], [1j]):
+        with pytest.raises(InvalidInput, match="^s must"):
+            third_column_witness(s)
     for s in (complex("nan"), complex(1.0, float("nan")), complex("inf")):
         with pytest.raises(InvalidInput, match="unimodular"):
             third_column_witness(s)
