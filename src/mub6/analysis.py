@@ -3,6 +3,7 @@
 Real-entry counting, real p x q submatrix detection (raw and up to
 per-column rephasing), 2x2 Hadamard submatrix counting, H2-reducibility,
 unitary k x k submatrices, product-vector columns, and numerical rank.
+The submatrix finders list their hits from one table over (rows, columns).
 
 Counting conventions: a 2x2 submatrix is proportional to an order-2
 Hadamard matrix exactly when its two rows are orthogonal, which for
@@ -22,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, SQRT6, Tolerances, as_hadamard, as_indices, as_matrix, as_vector,
-                   is_index, label_of, mod_pi_sign)
+from .core import (DEFAULT_TOL, SQRT6, Tolerances, as_hadamard, as_index, as_indices, as_matrix,
+                   as_tuple, as_vector, label_of, mod_pi_sign, safe_repr)
 from .errors import InvalidInput
 
 __all__ = [
@@ -46,6 +47,8 @@ __all__ = [
 ]
 
 REAL_ENTRY_BOUND = 22
+# _SUBSETS[n]: the n-element subsets of range(6), one per row, lexicographic
+_SUBSETS = [np.array(list(combinations(range(6), n)), dtype=int) for n in range(7)]
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,11 @@ class SubmatrixLoc:
         return A[np.ix_([r - 1 for r in self.rows], [c - 1 for c in self.cols])]
 
 
+def _locs(ok, row_sets, col_sets):
+    """A SubmatrixLoc per True of the (row set, column set) table ok, rows outer."""
+    return [SubmatrixLoc(row_sets[r] + 1, col_sets[c] + 1) for r, c in zip(*np.nonzero(ok))]
+
+
 def _real_mask(A, eq_tol):
     # entries carry the 1/sqrt(6) scale, so realness is tested scale-relative
     with np.errstate(all="ignore"):
@@ -82,18 +90,9 @@ def exceeds_real_bound(H, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def _real_selections(H, p, q, column_ok):
-    """Every p x q selection whose columns all pass column_ok, which maps the
-    stacked row selections (n, p, 6) to an (n, 6) mask."""
-    if not (is_index(p) and is_index(q) and 1 <= p <= 6 and 1 <= q <= 6):
-        raise InvalidInput("submatrix dimensions must lie in 1..6")
-    row_sets = list(combinations(range(6), p))
-    colok = column_ok(as_matrix(H)[np.array(row_sets)])
-    out = []
-    for rows, ok in zip(row_sets, colok.tolist()):
-        for cols in combinations(range(6), q):
-            if all(ok[c] for c in cols):
-                out.append(SubmatrixLoc(tuple(r + 1 for r in rows), tuple(c + 1 for c in cols)))
-    return out
+    """The p x q selections whose columns pass column_ok: (n, p, 6) rows -> (n, 6) mask."""
+    rows, cols = _SUBSETS[as_index(p, "p", 1, 6)], _SUBSETS[as_index(q, "q", 1, 6)]
+    return _locs(column_ok(as_matrix(H)[rows])[:, cols].all(axis=-1), rows, cols)
 
 
 def find_real_submatrices(H, p: int, q: int, tol: Tolerances = DEFAULT_TOL):
@@ -120,8 +119,7 @@ class H2Partition(NamedTuple):
     cols: tuple
 
 
-_PAIRS = list(combinations(range(6), 2))
-_PAIR_IDX = np.array(_PAIRS)
+_PAIRS = _SUBSETS[2]
 # The 15 pair partitions of range(6) as indices into _PAIRS, lexicographic.
 _PARTITIONS = np.array([part for part in combinations(range(len(_PAIRS)), 3)
                         if len({i for k in part for i in _PAIRS[k]}) == 6])
@@ -130,8 +128,8 @@ _PARTITIONS = np.array([part for part in combinations(range(len(_PAIRS)), 3)
 def _h2_table(A, eq_tol):
     """T[i, j]: the rows _PAIRS[i] are orthogonal on the columns _PAIRS[j]."""
     with np.errstate(all="ignore"):
-        P = np.conj(A[_PAIR_IDX[:, 0]]) * A[_PAIR_IDX[:, 1]]    # (row pair, column)
-        return np.abs(P[:, _PAIR_IDX[:, 0]] + P[:, _PAIR_IDX[:, 1]]) < eq_tol
+        P = np.conj(A[_PAIRS[:, 0]]) * A[_PAIRS[:, 1]]    # (row pair, column)
+        return np.abs(P[:, _PAIRS[:, 0]] + P[:, _PAIRS[:, 1]]) < eq_tol
 
 
 def count_h2_submatrices(H, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -149,7 +147,7 @@ def is_h2_reducible(H, tol: Tolerances = DEFAULT_TOL) -> H2Partition | None:
     hits = np.flatnonzero(ok)
     if not hits.size:
         return None
-    one_based = lambda part: tuple((i + 1, j + 1) for i, j in (_PAIRS[k] for k in part))
+    one_based = lambda part: tuple(map(tuple, (_PAIRS[part] + 1).tolist()))
     r, c = divmod(int(hits[0]), len(_PARTITIONS))
     return H2Partition(one_based(_PARTITIONS[r]), one_based(_PARTITIONS[c]))
 
@@ -161,16 +159,13 @@ def find_unitary_submatrices(H, k: int, tol: Tolerances = DEFAULT_TOL):
     amounts to pairwise-orthogonal rows of equal norm; c is the mean of the
     diagonal of S S*.  All C(6, k)^2 blocks are tested in one batch.
     """
-    if not (is_index(k) and 2 <= k <= 6):
-        raise InvalidInput("k must lie in 2..6")
-    sets = np.array(list(combinations(range(6), k)))
+    sets = _SUBSETS[as_index(k, "k", 2, 6)]
     S = as_matrix(H)[sets[:, None, :, None], sets[None, :, None, :]]    # (rows, cols, k, k)
     with np.errstate(all="ignore"):
         G = S @ np.conj(S).swapaxes(-1, -2)
         c = np.diagonal(G, axis1=-2, axis2=-1).real.mean(axis=-1)
         ok = (c > 0.0) & (np.abs(G - c[..., None, None] * np.eye(k)).max(axis=(-2, -1)) < tol.eq_tol)
-    return [SubmatrixLoc(tuple(sets[r] + 1), tuple(sets[c_] + 1))
-            for r, c_ in zip(*np.nonzero(ok))]
+    return _locs(ok, sets, sets)
 
 
 def _ranks(blocks):
@@ -246,8 +241,9 @@ ALL_SECTIONS = tuple(SECTION_FIELDS)
 
 def analyze(H, tol: Tolerances = DEFAULT_TOL, sections=ALL_SECTIONS) -> AnalysisReport:
     """The requested sections; InvalidInput for an unknown section or a non-Hadamard H."""
-    if unknown := sorted(set(sections) - SECTION_FIELDS.keys()):
-        raise InvalidInput(f"unknown analyze sections {unknown}; known: {list(ALL_SECTIONS)}")
+    sections = as_tuple(sections, "sections")
+    if bad := [s for s in sections if not (isinstance(s, str) and s in SECTION_FIELDS)]:
+        raise InvalidInput(f"unknown analyze sections {safe_repr(bad)}; known: {list(ALL_SECTIONS)}")
     as_hadamard(H, tol)
     fields = {"label": label_of(H)}
     if "real" in sections:

@@ -8,11 +8,12 @@ translate directly into the checks.  Each input rule has one owner here:
 as_real (one int or float) and as_array (ints, floats, and complex numbers
 where asked for; never text, bool or None), as_matrix (shape, finite
 entries), as_hadamard (the refusal of a non-Hadamard input),
-is_unimodular, as_indices (integers) and label_of.  Fixed cut-offs remain:
-entries below 1e-12 count as zero, hence phaseless, in equivalence.dephase
-and in analysis._real_up_to_phase; to_lemma_form reads the (-1, s, -s)
-tail within 10 * eq_tol; and families._pair_from_sum forgives a rounding
-of 1e-12 below zero under its square root.
+is_unimodular, as_index and as_indices (integers in a range), as_tuple
+(iterables) and label_of.  Fixed cut-offs remain: entries below 1e-12
+count as zero, hence phaseless, in equivalence.dephase and in
+analysis._real_up_to_phase; to_lemma_form reads the (-1, s, -s) tail
+within 10 * eq_tol; and families._pair_from_sum forgives a rounding of
+1e-12 below zero under its square root.
 """
 
 from __future__ import annotations
@@ -70,11 +71,39 @@ def is_index(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def safe_repr(x) -> str:
+    """repr(x) for a refusal; repr itself refuses an int of over 4300 digits."""
+    try:
+        return repr(x)
+    except ValueError:
+        return "a value too long to print"
+
+
 def as_real(x, name) -> float:
     """x as a float if it is a Python or numpy float or an int a double holds."""
     if isinstance(x, (float, np.floating)) or (is_index(x) and -_MAX_DOUBLE <= x <= _MAX_DOUBLE):
         return float(x)
-    raise InvalidInput(f"{name} must be a real number, got {x!r}")
+    raise InvalidInput(f"{name} must be a real number, got {safe_repr(x)}")
+
+
+def as_index(x, name, lo, hi) -> int:
+    """x as an int if it is an index (is_index) in lo..hi, else InvalidInput."""
+    if is_index(x) and lo <= x <= hi:
+        return int(x)
+    raise InvalidInput(f"{name} must be an integer in {lo}..{hi}, got {safe_repr(x)}")
+
+
+def as_tuple(values, name) -> tuple:
+    """tuple(values), or InvalidInput if values is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InvalidInput(f"{name} must be iterable, got {safe_repr(values)}") from None
+
+
+def as_indices(values, name, lo, hi) -> tuple:
+    """values as a tuple of ints, each read by as_index."""
+    return tuple(as_index(v, name, lo, hi) for v in as_tuple(values, name))
 
 
 DEFAULT_TOL = Tolerances()
@@ -143,17 +172,6 @@ def as_vector(v) -> np.ndarray:
 
 def label_of(M):
     return M.label if isinstance(M, CMat6) else None
-
-
-def as_indices(values, name, lo, hi) -> tuple:
-    """values as a tuple of ints, each an index (is_index) in lo..hi, else InvalidInput."""
-    try:
-        idx = tuple(values)
-    except TypeError:       # not iterable
-        idx = (None,)
-    if not all(is_index(v) and lo <= v <= hi for v in idx):
-        raise InvalidInput(f"{name} must be integers in {lo}..{hi}, got {values!r}")
-    return tuple(map(int, idx))
 
 
 def is_unimodular(z) -> bool:
@@ -241,7 +259,7 @@ def matrix_from_json(text: str) -> CMat6:
     InvalidInput on any defect."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, TypeError) as exc:     # JSONDecodeError, huge ints, non-text
         raise InvalidInput(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InvalidInput("not valid JSON: nested too deeply") from exc

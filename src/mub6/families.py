@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (CMat6, DEFAULT_TOL, SQRT6, Tolerances, as_array, as_real, is_hadamard, is_index,
+from .core import (CMat6, DEFAULT_TOL, SQRT6, Tolerances, as_array, as_index, as_real, is_hadamard,
                    is_unimodular)
-from .errors import DomainError, InvalidInput, SolveError
+from .errors import DomainError, SolveError
 
 __all__ = [
     "m6",
@@ -133,8 +133,7 @@ def m6(t: float, tol: Tolerances = DEFAULT_TOL) -> CMat6:
 
 def m6_grid(n_per_arc: int = 25):
     """A standard admissible grid: n >= 1 points per arc, excluding t = 2pi."""
-    if not (is_index(n_per_arc) and n_per_arc >= 1):
-        raise InvalidInput(f"n_per_arc must be a positive integer, got {n_per_arc!r}")
+    n_per_arc = as_index(n_per_arc, "n_per_arc", 1, np.iinfo(np.intp).max // 16)  # numpy's cap
     first = np.linspace(_HALF_PI, np.pi, n_per_arc + 1)[1:]
     second = np.linspace(1.5 * np.pi, _TWO_PI, n_per_arc + 2)[1:-1]
     return np.concatenate([first, second])

@@ -38,8 +38,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, SQRT6, ColVec6, Tolerances, as_array, as_hadamard, as_indices,
-                   as_matrix, as_real, is_hadamard, is_index)
+from .core import (DEFAULT_TOL, SQRT6, ColVec6, Tolerances, as_array, as_hadamard, as_index,
+                   as_indices, as_matrix, as_real, as_tuple, is_hadamard, is_index)
 from .errors import DomainError, InvalidInput
 from .families import m6
 
@@ -115,11 +115,13 @@ class ScanRow:
     error: str | None = None
 
     def __post_init__(self):
-        if self.error is None:
-            if min(self.n_mu_vectors, self.n_bases, self.n_triples) < 0:
-                raise InvalidInput("counts must be non-negative on valid rows")
-            if self.n_triples > self.n_bases:
-                raise InvalidInput("n_triples cannot exceed n_bases")
+        for name in ("t", "max_residual", "wall_time"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
+        lo = 0 if self.error is None else -1
+        for name in ("n_mu_vectors", "n_bases", "n_triples"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name, lo, math.inf))
+        if self.error is None and self.n_triples > self.n_bases:
+            raise InvalidInput("n_triples cannot exceed n_bases")
 
 
 def _phases_to_vectors(P):
@@ -331,7 +333,7 @@ def scan_m6(t_values, cfg: OptimConfig = OptimConfig()):
     aborting the sweep.  Each row draws from its own child of cfg.seed, so results do
     not depend on how the grid is chunked.  Bases and triples are decided at
     the default tolerance, so no setting moves a count."""
-    ts = [as_real(t, "t") for t in t_values]
+    ts = [as_real(t, "t") for t in as_tuple(t_values, "t_values")]
     children = np.random.SeedSequence(cfg.seed).spawn(len(ts))
     rows = []
     for idx, t in enumerate(ts):

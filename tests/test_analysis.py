@@ -20,6 +20,7 @@ from mub6 import (
     product_triple_exists,
     submatrix_rank,
 )
+from mub6.core import is_index
 
 
 def test_submatrix_loc_validation():
@@ -33,7 +34,8 @@ def test_submatrix_loc_validation():
     with pytest.raises(InvalidInput):
         SubmatrixLoc((), (1,))
     # floats, bools and strings are refused, not truncated to indices
-    for bad in ((1.9, 2.2, 3), (True, 2), (1.0, 2.0), ("1", "2"), "12", None, 3):
+    for bad in ((1.9, 2.2, 3), (True, 2), (1.0, 2.0), ("1", "2"), "12", None, 3, [10**5000],
+                10**5000):
         with pytest.raises(InvalidInput, match="rows"):
             SubmatrixLoc(bad, (1,))
         with pytest.raises(InvalidInput, match="cols"):
@@ -72,10 +74,11 @@ def test_find_real_submatrices_dimension_checks(f6):
     with pytest.raises(InvalidInput):
         find_real_submatrices_up_to_rephasing(f6, 7, 1)
     # True would pass 1 <= p <= 6 as 1, and 2.5 would compare as a size
-    for p, q in ((True, 2), (3, 2.0), (2.5, 2), ("3", 2)):
-        with pytest.raises(InvalidInput):
+    for p, q in ((True, 2), (3, 2.0), (2.5, 2), ("3", 2), (10**5000, 2), (2, -10**5000)):
+        name = "q" if is_index(p) and 1 <= p <= 6 else "p"
+        with pytest.raises(InvalidInput, match=rf"^{name} must be an integer in 1\.\.6, got"):
             find_real_submatrices(f6, p, q)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=rf"^{name} must be an integer in 1\.\.6, got"):
             find_real_submatrices_up_to_rephasing(f6, p, q)
     assert len(find_real_submatrices(f6, np.int64(1), np.uint8(2))) == 34
 
@@ -131,8 +134,8 @@ def test_find_unitary_submatrices_bounds(f6):
         find_unitary_submatrices(f6, 1)
     with pytest.raises(InvalidInput):
         find_unitary_submatrices(f6, 7)
-    for k in (2.5, 3.0, True, "3"):
-        with pytest.raises(InvalidInput):
+    for k in (2.5, 3.0, True, "3", 10**5000):
+        with pytest.raises(InvalidInput, match=r"^k must be an integer in 2\.\.6, got"):
             find_unitary_submatrices(f6, k)
     assert len(find_unitary_submatrices(f6, np.int64(3))) == 28
     # the full matrix is unitary, so k = 6 returns the single full selection
@@ -298,8 +301,16 @@ def test_analyze_sections(f6):
     assert rep.product_triple_found is None
 
 
-@pytest.mark.parametrize("sections", [("bogus",), ("h2", "unitary_3x3"), "h2"],
-                         ids=["unknown", "field-name", "bare-string"])
+@pytest.mark.parametrize("sections", [("bogus",), ("h2", "unitary_3x3"), "h2", [["real"]],
+                                      ["real", 3], [np.array([1, 2])], [10**5000]],
+                         ids=["unknown", "field-name", "bare-string", "unhashable", "not-a-name",
+                              "array", "huge-int"])
 def test_analyze_refuses_unknown_sections(f6, sections):
     with pytest.raises(InvalidInput, match="unknown analyze sections"):
         analyze(f6, sections=sections)
+
+
+def test_analyze_refuses_non_iterable_sections(f6):
+    for sections in (5, None, 2.0):     # a TypeError escaped before
+        with pytest.raises(InvalidInput, match="sections must be iterable"):
+            analyze(f6, sections=sections)

@@ -79,8 +79,10 @@ def test_usage_errors_name_the_subcommand(capsys, tmp_path, argv):
 
 
 def test_parse_error_exits_3(capsys, tmp_path):
-    """Malformed files, non-UTF-8 bytes and JSON nested past the recursion
-    limit included, end in one error line and exit 3, not a traceback."""
+    """Malformed files, non-UTF-8 bytes, JSON nested past the recursion
+    limit and an integer of more than 4300 digits, which Python's json
+    refuses with a plain ValueError, included, end in one error line and
+    exit 3, not a traceback."""
     ones = [[[1, 0]] * 6] * 6
     p = tmp_path / "bad.json"
     for content in [b"{ not json", b"\xff\xfe{}", b"[" * 200000,
@@ -88,7 +90,8 @@ def test_parse_error_exits_3(capsys, tmp_path):
                     json.dumps({"label": 0, "matrix": ones}).encode(),
                     json.dumps({"matrix": ones}).encode(),
                     json.dumps({"label": None, "matrix": ones}).encode(),
-                    json.dumps({"label": "", "matrix": ones, "extra": 1}).encode()]:
+                    json.dumps({"label": "", "matrix": ones, "extra": 1}).encode(),
+                    b'{"label": "", "matrix": ' + b"1" * 5000 + b"}"]:
         p.write_bytes(content)
         for command in ("check", "normalize", "analyze"):
             code, out, err = run(capsys, command, "--in", p)

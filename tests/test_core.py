@@ -20,7 +20,7 @@ from mub6 import (
     matrix_to_json,
     unitarity_residual,
 )
-from mub6.core import is_unimodular
+from mub6.core import as_index, as_tuple, is_unimodular, safe_repr
 
 
 def test_tolerances_defaults():
@@ -107,6 +107,27 @@ def test_is_unimodular():
     assert is_unimodular(1 + 0.9e-9) and not is_unimodular(1 + 1.1e-9)
     for z in (0.0, 2.0, np.nan, np.inf, complex(np.nan, 1), np.array([1, 1j, np.nan])):
         assert not is_unimodular(z)
+
+
+def test_integer_and_iterable_readers():
+    """as_index reads one integer in a range and as_tuple any iterable.  A
+    refusal shows the value unless repr cannot print it (an int of more
+    than 4300 digits), where Python's ValueError escaped before."""
+    assert as_index(np.int64(3), "k", 2, 6) == 3 and type(as_index(np.uint8(2), "k", 2, 6)) is int
+    for bad in (1, 7, 2.0, True, np.bool_(True), "3", None, [3], 10**5000, -10**5000):
+        with pytest.raises(InvalidInput, match=r"k must be an integer in 2\.\.6, got"):
+            as_index(bad, "k", 2, 6)
+    assert as_tuple(range(3), "v") == (0, 1, 2) and as_tuple("ab", "v") == ("a", "b")
+    for bad in (5, 5.0, None, True, 10**5000, np.array(5)):
+        with pytest.raises(InvalidInput, match="v must be iterable"):
+            as_tuple(bad, "v")
+    assert safe_repr(10**5000) == safe_repr([10**5000]) == "a value too long to print"
+    assert safe_repr(2.5) == "2.5"
+    for bad in (10**5000, [1, 10**5000]):
+        with pytest.raises(InvalidInput, match="too long to print"):
+            mub6.core.as_indices(bad, "rows", 1, 6)
+        with pytest.raises(InvalidInput, match="too long to print"):
+            mub6.core.as_real(bad, "t")
 
 
 def test_array_records_compare_by_identity():
@@ -217,10 +238,16 @@ def test_json_precision_survives_seventeen_digits():
                  id="cell-not-a-pair"),
     pytest.param(json.dumps({"label": "", "matrix": [[[10**400, 0]] * 6] * 6}),
                  id="part-beyond-double"),
+    pytest.param('{"label": "", "matrix": ' + "1" * 5000 + "}", id="int-of-5000-digits"),
+    pytest.param(b"\xff{}", id="non-utf8-bytes"),
+    pytest.param(5, id="not-text"),
+    pytest.param(None, id="none"),
 ])
 def test_json_malformed_rejected(text):
-    """Each is refused as InvalidInput: JSON true/false are not numbers, and
-    matrix.schema.json requires a string label and no other top-level key."""
+    """Each is refused as InvalidInput: JSON true/false are not numbers,
+    matrix.schema.json requires a string label and no other top-level key,
+    and an int of more than 4300 digits, bytes that are not UTF-8 and a
+    value that is not text at all raised ValueError or TypeError."""
     with pytest.raises(InvalidInput):
         matrix_from_json(text)
 

@@ -24,7 +24,7 @@ from mub6 import (
 PI = np.pi
 # values that are not one real number: each parameter refuses them with InvalidInput
 NOT_REAL = ("x", "2.0", None, True, np.bool_(True), 2j, np.complex128(2.0), np.array(2.0), [2.0],
-            10**400)
+            10**400, 10**5000)
 
 
 def test_admissible_set_boundaries():
@@ -93,8 +93,11 @@ def test_m6_grid_is_fifty_admissible_points():
 
 def test_m6_grid_refuses_non_integer_counts():
     """2.5 used to raise numpy's TypeError, True to give a two-point grid and
-    -5 numpy's ValueError; -1 and 0 gave an empty grid."""
-    for n in (2.5, 2.0, True, -5, -1, 0, "3", None):
+    -5 numpy's ValueError; -1 and 0 gave an empty grid.  A count whose grid
+    no numpy array can hold is refused before anything is allocated:
+    10**5000 raised numpy's ValueError (maximum allowed size exceeded)."""
+    for n in (2.5, 2.0, True, -5, -1, 0, "3", None, 2**63, np.iinfo(np.intp).max // 16 + 1,
+              10**5000):
         with pytest.raises(InvalidInput, match="n_per_arc"):
             m6_grid(n)
     assert np.array_equal(m6_grid(np.int64(5)), m6_grid(5))

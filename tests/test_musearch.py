@@ -70,6 +70,21 @@ def test_scanrow_validation():
     # error rows are allowed to carry the -1 sentinel
     ScanRow(t=2.0, n_mu_vectors=-1, n_bases=-1, n_triples=-1,
             max_residual=float("nan"), wall_time=0.0, error="boom")
+    # numbers are read by the core readers: reals as floats, counts as ints
+    for args, name in ((("x", 1, 0, 0, 0.0, 0.0), "t"), ((2.0, "a", 0, 0, 0.0, 0.0), "n_mu_vectors"),
+                       ((2.0, 1.5, 0, 0, 0.0, 0.0), "n_mu_vectors"),
+                       ((2.0, 1, True, 0, 0.0, 0.0), "n_bases"),
+                       ((2.0, 1, 0, -2, 0.0, 0.0, "boom"), "n_triples"),
+                       ((2.0, 1, 0, 0, 1j, 0.0), "max_residual"),
+                       ((2.0, 1, 0, 0, 0.0, None), "wall_time"),
+                       ((10**5000, 1, 0, 0, 0.0, 0.0), "t")):
+        with pytest.raises(InvalidInput, match=name):
+            ScanRow(*args)
+    row = ScanRow(np.float32(2.0), np.int64(4), np.uint8(1), np.int8(1), np.float64(1e-12), 1)
+    assert (row.t, row.n_mu_vectors, row.n_bases, row.n_triples, row.max_residual,
+            row.wall_time) == (2.0, 4, 1, 1, 1e-12, 1.0)
+    assert [type(getattr(row, f)) for f in ("t", "n_bases", "max_residual", "wall_time")] == [
+        float, int, float, float]
 
 
 def test_flat_vector_objective_value(f6):
@@ -323,6 +338,9 @@ def test_scan_rows_and_error_isolation():
     for ts in (["2.0"], [2.0, True], [2 + 1j], [np.complex128(2.0)], [np.array(2.0)], [None],
                [[2.0]]):
         with pytest.raises(InvalidInput, match="t must be a real number"):
+            scan_m6(ts, cfg)
+    for ts in (5.0, 2, None, np.float64(2.0)):      # a TypeError escaped before
+        with pytest.raises(InvalidInput, match="t_values must be iterable"):
             scan_m6(ts, cfg)
     t32 = np.array([0.25 * PI], dtype=np.float32)
     assert [r.t for r in scan_m6(t32, cfg)] == [float(t32[0])]

@@ -19,8 +19,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import mub6
 from mub6 import SQRT6, matrix_to_json
+from mub6.analysis import SECTION_FIELDS
 from mub6.cli import main
-from mub6.core import as_array, as_indices, as_real, is_index
+from mub6.core import as_array, as_index, as_indices, as_real, as_tuple, is_index
 
 FAMILIES = ("f6", "m6", "b6", "s6")
 
@@ -66,8 +67,10 @@ def test_permutations_and_column_phases_keep_product_triples(H, seed):
 
 # ------------------------------------------------------- integer arguments
 
+# ints repr will not print (over 4300 digits) and ints beyond every array size
+huge_ints = st.sampled_from([10**5000, -10**5000, 2**63, np.uint64(2**63)])
 scalars = st.one_of(st.integers(-2, 8), st.floats(-2, 8), st.floats(), st.booleans(),
-                    st.text(max_size=2), st.none())
+                    st.text(max_size=2), st.none(), huge_ints)
 index_args = st.one_of(scalars, st.text(max_size=7),
                        st.lists(st.one_of(scalars, st.lists(scalars, max_size=2)), max_size=7))
 
@@ -93,13 +96,22 @@ def _kept(call):
 @example([1.0, 2, 3])
 @example([True, 2, 3])
 @example([[1]] * 6)
+@example(10**5000)
+@example([10**5000])
 def test_index_arguments_are_exact_or_refused(values):
     """as_indices and every argument it checks keep integers exactly and
-    refuse floats, bools, strings, None and nested lists with InvalidInput,
-    never numpy's TypeError or ValueError.  So do the scalar index
-    arguments, which is_index checks."""
+    refuse floats, bools, strings, None, huge ints, non-iterables and nested
+    lists with InvalidInput, never numpy's TypeError or ValueError, nor
+    Python's ValueError for an int repr cannot print.  So do the scalar
+    index arguments, which as_index reads."""
     exact = isinstance(values, (list, str)) and all(map(is_index, values))   # "" is ()
     one, F6, vecs = np.ones(6), mub6.fourier_f6(), _f6_vectors()
+    got = _kept(lambda: as_index(values, "v", 1, 6))
+    assert got == (values if is_index(values) and 1 <= values <= 6 else None)
+    assert _kept(lambda: as_tuple(values, "v")) == (tuple(values) if isinstance(values, (list, str))
+                                                    else None)
+    assert _kept(lambda: mub6.analyze(F6, sections=values)) is None or all(
+        isinstance(v, str) and v in SECTION_FIELDS for v in values)
     for call in (lambda: as_indices(values, "v", 1, 6),
                  lambda: mub6.SubmatrixLoc(values, (1,)).rows,
                  lambda: mub6.SubmatrixLoc((1,), values).cols,
@@ -120,7 +132,7 @@ real_scalars = st.one_of(st.floats(), st.integers(), st.floats().map(np.float64)
                          st.floats(width=32).map(np.float32),
                          st.integers(-2**63, 2**63 - 1).map(np.int64))
 odd_scalars = st.one_of(st.text(max_size=3), st.none(), st.booleans(), st.booleans().map(np.bool_),
-                        st.complex_numbers(), st.complex_numbers().map(np.complex128))
+                        st.complex_numbers(), st.complex_numbers().map(np.complex128), huge_ints)
 scalar_lists = st.lists(st.one_of(real_scalars, odd_scalars), max_size=7)
 real_args = st.one_of(real_scalars, odd_scalars, real_scalars.map(np.array), scalar_lists,
                       scalar_lists.map(np.array),
@@ -149,12 +161,16 @@ def _read(call):
 @example(10**400)
 @example(np.int64(-2**63))
 @example(np.float32(2.0))
+@example(10**5000)
+@example([2.0, -10**5000])
 def test_real_arguments_are_read_or_refused(x):
     """as_real and as_array, and every public argument they read, either
     accept x or refuse it with InvalidInput (or DomainError for a real but
-    inadmissible value): never numpy's TypeError or ValueError, and never a
-    warning such as ComplexWarning, which marked a dropped imaginary part.
-    as_real keeps a Python or numpy real exactly and refuses everything else."""
+    inadmissible value): never numpy's TypeError or ValueError, Python's
+    ValueError for an int repr cannot print, or a TypeError for a scalar
+    where a sequence belongs, and never a warning such as ComplexWarning,
+    which marked a dropped imaginary part.  as_real keeps a Python or numpy
+    real exactly and refuses everything else."""
     real = isinstance(x, (float, np.floating)) or (
         is_index(x) and abs(int(x)) <= float(np.finfo(float).max))
     got = _read(lambda: as_real(x, "x"))
@@ -168,12 +184,14 @@ def test_real_arguments_are_read_or_refused(x):
     for call in (lambda: mub6.Tolerances(x), lambda: mub6.is_admissible_t(x), lambda: mub6.m6(x),
                  lambda: mub6.b6(x), lambda: mub6.fourier_f6(x, 0.0),
                  lambda: mub6.fourier_f6(0.0, x), lambda: mub6.run_counterexample(x),
-                 lambda: mub6.scan_m6([x], cfg), lambda: mub6.MUVector((0.0,) * 5, v, x)):
+                 lambda: mub6.scan_m6([x], cfg), lambda: mub6.MUVector((0.0,) * 5, v, x),
+                 lambda: mub6.ScanRow(x, 0, 0, 0, 0.0, 0.0)):
         assert _read(call) is None or real
     for call in (lambda: mub6.solve_m6_entries(x), lambda: mub6.third_column_witness(x),
                  lambda: mub6.verify_tail_structure(x), lambda: mub6.mu_objective(F6, x),
                  lambda: mub6.MUVector(x, v, 0.0), lambda: mub6.CMat6(x), lambda: mub6.ColVec6(x),
-                 lambda: mub6.is_hadamard(x)):
+                 lambda: mub6.is_hadamard(x), lambda: mub6.scan_m6(x, cfg),
+                 lambda: mub6.matrix_from_json(x), lambda: mub6.ScanRow(2.0, x, 0, 0, 0.0, 0.0)):
         _read(call)
 
 

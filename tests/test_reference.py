@@ -1,12 +1,12 @@
 """Loop versions of the table-driven searches, kept as references.
 
-to_lemma_form, find_real_submatrices_up_to_rephasing, count_h2_submatrices,
-is_h2_reducible, find_unitary_submatrices, product_triple_exists and the
-CLI's JSON output were once written as explicit loops, brute force and
-hand-built payloads.  Those versions live on here, and the package must
-agree with them exactly: on disguised members of all four families (random
-and permute-only moves) and on b6 at theta = pi.  For the JSON outputs,
-agreement means byte-equal stdout.
+to_lemma_form, find_real_submatrices (raw and up to rephasing),
+count_h2_submatrices, is_h2_reducible, find_unitary_submatrices,
+product_triple_exists and the CLI's JSON output were once written as
+explicit loops, brute force and hand-built payloads.  Those versions live
+on here, and the package must agree with them exactly: on disguised
+members of all four families (random and permute-only moves) and on b6 at
+theta = pi.  For the JSON outputs, agreement means byte-equal stdout.
 """
 
 import json
@@ -122,7 +122,28 @@ def test_lemma_form_reads_every_tail_it_finds(eq_tol):
     assert sum(mub6.to_lemma_form(D, tol) is not None for D in INPUTS) >= 106
 
 
-# ------------------------------------------------------ real up to phases
+# ------------------------------------------------------ real submatrices
+
+def ref_real_submatrices(A, p, q, eq_tol):
+    out = []
+    for rows in combinations(range(6), p):
+        for cols in combinations(range(6), q):
+            if all(abs(A[r, c].imag) * SQRT6 < eq_tol for r in rows for c in cols):
+                out.append((tuple(r + 1 for r in rows), tuple(c + 1 for c in cols)))
+    return out
+
+
+def test_real_submatrices_match_loop():
+    found = 0
+    for D in INPUTS + [mub6.fourier_f6(), mub6.s6()]:
+        A = mub6.core.as_matrix(D)
+        for p in range(1, 7):
+            for q in range(1, 7):
+                got = [(l.rows, l.cols) for l in mub6.find_real_submatrices(D, p, q)]
+                assert got == ref_real_submatrices(A, p, q, EQ)
+                found += len(got)
+    assert found > 0
+
 
 def ref_collinear_mod_pi(entries, eq_tol):
     anchor = None
@@ -155,10 +176,11 @@ def test_real_up_to_rephasing_matches_loop():
     zeroed[[0, 3], 2] = 0.0            # entries of no modulus never obstruct
     for D in INPUTS + [zeroed]:
         A = mub6.core.as_matrix(D)
-        for p, q in ((3, 2), (2, 3), (4, 1)):
-            got = [(l.rows, l.cols) for l in mub6.find_real_submatrices_up_to_rephasing(D, p, q)]
-            assert got == ref_real_up_to_rephasing(A, p, q, EQ)
-            found += len(got)
+        for p in range(1, 7):
+            for q in range(1, 7):
+                got = [(l.rows, l.cols) for l in mub6.find_real_submatrices_up_to_rephasing(D, p, q)]
+                assert got == ref_real_up_to_rephasing(A, p, q, EQ)
+                found += len(got)
     assert found > 0
 
 
@@ -196,7 +218,7 @@ def ref_h2_reducible(A, eq_tol):
 
 
 def test_partition_table_order():
-    table = [tuple(_PAIRS[k] for k in part) for part in _PARTITIONS]
+    table = [tuple(map(tuple, _PAIRS[part].tolist())) for part in _PARTITIONS]
     assert table == list(ref_pair_partitions(list(range(6))))
 
 
