@@ -4,6 +4,9 @@ Real-entry counting, real p x q submatrix detection (raw and up to
 per-column rephasing), 2x2 Hadamard submatrix counting, H2-reducibility,
 unitary k x k submatrices, product-vector columns, and numerical rank.
 The submatrix finders list their hits from one table over (rows, columns).
+The h2 and unitary tests read one table of row-pair inner products; the
+product test skips the SVD of any 2x3 block that a Cauchy-Binet bound
+shows to be rank two.
 
 Counting conventions: a 2x2 submatrix is proportional to an order-2
 Hadamard matrix exactly when its two rows are orthogonal, which for
@@ -125,16 +128,22 @@ _PARTITIONS = np.array([part for part in combinations(range(len(_PAIRS)), 3)
                         if len({i for k in part for i in _PAIRS[k]}) == 6])
 
 
-def _h2_table(A, eq_tol):
-    """T[i, j]: the rows _PAIRS[i] are orthogonal on the columns _PAIRS[j]."""
+# _SET_PAIRS[k][r]: the indices into _PAIRS of the row pairs inside _SUBSETS[k][r].
+_SET_PAIRS = [np.array([[i for i, p in enumerate(_PAIRS.tolist()) if set(p) <= set(s)]
+                        for s in sets.tolist()], dtype=int) for sets in _SUBSETS]
+
+
+def _pair_sums(A, k):
+    """T[i, j] = |sum of conj(A[r1, c]) A[r2, c] over c in _SUBSETS[k][j]|, with
+    (r1, r2) = _PAIRS[i]: near 0 when those rows are orthogonal on those columns."""
     with np.errstate(all="ignore"):
         P = np.conj(A[_PAIRS[:, 0]]) * A[_PAIRS[:, 1]]    # (row pair, column)
-        return np.abs(P[:, _PAIRS[:, 0]] + P[:, _PAIRS[:, 1]]) < eq_tol
+        return np.abs(P[:, _SUBSETS[k]].sum(axis=-1))
 
 
 def count_h2_submatrices(H, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of the 225 2x2 submatrices whose two rows are orthogonal."""
-    return int(np.sum(_h2_table(as_matrix(H), tol.eq_tol)))
+    return int(np.sum(_pair_sums(as_matrix(H), 2) < tol.eq_tol))
 
 
 def is_h2_reducible(H, tol: Tolerances = DEFAULT_TOL) -> H2Partition | None:
@@ -142,7 +151,7 @@ def is_h2_reducible(H, tol: Tolerances = DEFAULT_TOL) -> H2Partition | None:
     orthogonal-row 2x2 submatrices, scanning both families of the 15
     partitions in canonical order, rows outer.  Returns an H2Partition of
     1-based pairs, or None."""
-    T = _h2_table(as_matrix(H), tol.eq_tol)
+    T = _pair_sums(as_matrix(H), 2) < tol.eq_tol
     ok = T[_PARTITIONS[:, None, :, None], _PARTITIONS[None, :, None, :]].all(axis=(2, 3))
     hits = np.flatnonzero(ok)
     if not hits.size:
@@ -157,14 +166,16 @@ def find_unitary_submatrices(H, k: int, tol: Tolerances = DEFAULT_TOL):
 
     The test is S S* = c I for some c > 0, entry-wise within eq_tol, which
     amounts to pairwise-orthogonal rows of equal norm; c is the mean of the
-    diagonal of S S*.  All C(6, k)^2 blocks are tested in one batch.
+    diagonal of S S*.  All C(6, k)^2 blocks are tested in one batch, off the
+    diagonal from _pair_sums and on it from squared moduli summed over columns.
     """
     sets = _SUBSETS[as_index(k, "k", 2, 6)]
-    S = as_matrix(H)[sets[:, None, :, None], sets[None, :, None, :]]    # (rows, cols, k, k)
+    A = as_matrix(H)
     with np.errstate(all="ignore"):
-        G = S @ np.conj(S).swapaxes(-1, -2)
-        c = np.diagonal(G, axis1=-2, axis2=-1).real.mean(axis=-1)
-        ok = (c > 0.0) & (np.abs(G - c[..., None, None] * np.eye(k)).max(axis=(-2, -1)) < tol.eq_tol)
+        off = _pair_sums(A, k)[_SET_PAIRS[k]].max(axis=1)                      # (rows, cols)
+        diag = (A.real ** 2 + A.imag ** 2)[:, sets].sum(axis=-1)[sets]        # (rows, k, cols)
+        c = diag.mean(axis=1)
+        ok = (c > 0.0) & (off < tol.eq_tol) & (np.abs(diag - c[:, None]).max(axis=1) < tol.eq_tol)
     return _locs(ok, sets, sets)
 
 
@@ -204,14 +215,23 @@ def product_triple_exists(H) -> bool:
     720 orders form 60 classes.  The 3x2 reshape under p is the transpose
     of the 2x3 one under (p0, p2, p4, p1, p3, p5), with the same singular
     values, so it adds no class.  The test is is_product_vector's rank-one
-    test, batched over 60 grids x 6 columns.
+    test, batched over 60 grids x 6 columns.  By Cauchy-Binet, sigma2 / sigma1
+    >= sqrt(sum |2x2 minors|^2) / |B|_F^2; a block whose bound (scaled to a
+    largest modulus of 1) exceeds 1e3 * rank_tol is rank two without an SVD.
 
     The answer belongs to the matrix as given, not to its equivalence
     class: a row rephasing that is not a tensor product can remove the
     triple, so on a disguised matrix it answers for the disguise.
     """
     blocks = np.transpose(as_matrix(H)[_GRIDS], (0, 3, 1, 2))    # (grid, col, 2, 3)
-    return bool(((_ranks(blocks) == 1).sum(axis=1) >= 3).any())
+    with np.errstate(all="ignore"):
+        B = blocks / np.abs(blocks).max(axis=(-2, -1), keepdims=True)
+        u, v = B[..., 0, :], B[..., 1, :]
+        minors = u[..., [0, 0, 1]] * v[..., [1, 2, 2]] - u[..., [1, 2, 2]] * v[..., [0, 0, 1]]
+        bound = np.linalg.norm(minors, axis=-1) / np.sum(B.real ** 2 + B.imag ** 2, axis=(-2, -1))
+    rank_one = ~(bound > 1e3 * Tolerances.rank_tol)     # open: not certified rank two
+    rank_one[rank_one] = _ranks(blocks[rank_one]) == 1  # NaN bounds (zero, inf) stay open
+    return bool((rank_one.sum(axis=1) >= 3).any())
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from mub6 import (
     product_triple_exists,
     submatrix_rank,
 )
+from mub6.analysis import _GRIDS, _ranks
 from mub6.core import is_index
 
 
@@ -274,6 +275,52 @@ def test_rank_tests_agree_across_scales():
             assert is_product_vector(v, "2x3") is (rank == 1)
             H = np.concatenate([np.repeat(v[:, None], 3, axis=1), others], axis=1)
             assert product_triple_exists(H) is (rank == 1)
+
+
+def test_product_certificate_edges():
+    """The SVD-free rank-two certificate moves no decision.  Three columns
+    are planted as 2x3 blocks with one sigma2 / sigma1: a half-decade grid
+    from 1e-12 to 1e-3, plus points at relative offsets from rank_tol = 1e-9
+    and from the certificate's 1e3 * rank_tol, at scales from 1e-300 to
+    1e300.  m6(t) is swept through the product-triple band below t = pi,
+    as it stands and permuted.  Every case must equal the one rank rule run
+    on all 360 blocks, and the all-orders reference.  Within about 1e-7
+    (relative) of rank_tol rounding decides, since an SVD errs by about
+    1e-16 sigma1; there the reference, which reads 1440 arrangements where
+    the package reads one per grid class, can split from the package, and
+    only the rank rule is checked."""
+    from test_reference import ref_product_triple_exists
+    rank_tol = mub6.DEFAULT_TOL.rank_tol
+    rng = np.random.default_rng(31)
+    cnormal = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    unitary = lambda n: np.linalg.qr(cnormal(n, n))[0]
+
+    def check(H):
+        found = product_triple_exists(H)
+        blocks = np.transpose(mub6.core.as_matrix(H)[_GRIDS], (0, 3, 1, 2))
+        assert found is bool(((_ranks(blocks) == 1).sum(axis=1) >= 3).any())
+        return found
+
+    offsets = np.array([-1e-8, 0.0, 1e-8, -1e-6, 1e-6, -1e-4, 1e-4, -1e-2, 1e-2])
+    ratios = np.concatenate([10.0 ** np.arange(-12.0, -2.9, 0.5), rank_tol * (1 + offsets),
+                             1e3 * rank_tol * (1 + offsets)])
+    outcomes = []
+    for ratio in ratios:
+        for scale in 10.0 ** np.arange(-300, 301, 150):
+            planted = [scale * (unitary(2) @ np.diag([1.0, ratio]) @ unitary(3)[:2]).ravel()
+                       for _ in range(3)]
+            H = np.column_stack(planted + list(cnormal(3, 6)))
+            found = check(H)
+            if abs(ratio / rank_tol - 1.0) > 1e-7:
+                assert found is ref_product_triple_exists(H, rank_tol), (ratio, scale)
+            outcomes.append(found)
+    for t in np.pi - np.linspace(5e-5, 1.5e-4, 51):
+        H = m6(t)
+        for D in (H, mub6.apply(H, mub6.random_record(rng, permute_only=True))):
+            found = check(D)
+            assert found is ref_product_triple_exists(D.entries, rank_tol), t
+            outcomes.append(found)
+    assert set(outcomes) == {True, False}
 
 
 def test_analyze_full_report(f6):

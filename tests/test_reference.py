@@ -278,6 +278,32 @@ def test_unitary_and_product_match_loops():
     assert outcomes == {True, False}
 
 
+def test_unitary_and_product_match_loops_on_random_disguises():
+    """Fresh seeded random moves on m6, f6 (every other one at the origin,
+    F6, and half of those moved by permutations only, which keeps their
+    product triples), b6 and S6, for every k in 2..6.  Each matrix is also
+    tested with one row doubled: its rows stay orthogonal, but blocks that
+    meet that row lose the equal norms.  No 4x4 or 5x5 block is met."""
+    rng = np.random.default_rng(31)
+    hits, outcomes = [0] * 7, set()
+    for i in range(32):
+        fam = ("m6", "f6", "b6", "s6")[i % 4]
+        H = mub6.fourier_f6() if fam == "f6" and i % 8 == 1 else _member(fam, rng)
+        D = mub6.apply(H, mub6.random_record(rng, permute_only=i % 16 == 1))
+        A = mub6.core.as_matrix(D)
+        norms = np.ones((6, 1))
+        norms[rng.integers(6)] = 2.0
+        for M in (A, A * norms):
+            for k in range(2, 7):
+                got = [(l.rows, l.cols) for l in mub6.find_unitary_submatrices(M, k)]
+                assert got == ref_unitary_submatrices(M, k, EQ)
+                hits[k] += len(got)
+        found = mub6.product_triple_exists(D)
+        assert found == ref_product_triple_exists(A, mub6.DEFAULT_TOL.rank_tol)
+        outcomes.add(found)
+    assert hits[2] and hits[3] and hits[6] and outcomes == {True, False}
+
+
 def _grid_class(grid):
     """Canonical 2x3 grid up to swapping its rows and permuting its
     columns: the row holding 0 on top, the columns sorted by top entry."""

@@ -62,6 +62,19 @@ def test_pipeline_refutes_across_grid():
         assert rep.min_third_col_modulus > 1.0 / SQRT6 - 1e-9, t
 
 
+def test_lemma_form_search_confirms_the_recipe_s():
+    """A second, independent computation of the verdict's s: to_lemma_form's
+    search on m6(t) finds the s of run_counterexample's fixed recipe, within
+    1e-12, on every point of m6_grid(200), through row orders the recipe
+    does not use."""
+    for t in mub6.m6_grid(200):
+        rep = run_counterexample(t)
+        form = mub6.to_lemma_form(m6(t))
+        assert (form.y, form.x) == (1, -1), t
+        assert abs(form.s - rep.s) < 1e-12, t
+        assert form.record.row_perm != rep.record.row_perm, t
+
+
 def test_tail_structure_examples():
     assert abs(verify_tail_structure((-1.0, 1j, -1j)) - 1j) < 1e-12
     s = np.exp(1j * PI / 3)
