@@ -2,11 +2,11 @@
 
 Real-entry counting, real p x q submatrix detection (raw and up to
 per-column rephasing), 2x2 Hadamard submatrix counting, H2-reducibility,
-unitary k x k submatrices, product-vector columns, and numerical rank.
-The submatrix finders list their hits from one table over (rows, columns).
-The h2 and unitary tests read one table of row-pair inner products; the
-product test skips the SVD of any 2x3 block that a Cauchy-Binet bound
-shows to be rank two.
+unitary k x k submatrices, product-vector columns, and numerical rank.  The
+submatrix finders list their hits from one table over (rows, columns).  The
+h2 and unitary tests read one table of row-pair inner products; the product
+test skips the SVD of any 2x3 block that a Cauchy-Binet bound shows to be
+rank two.  _SECTIONS alone states each section of analyze and its fields.
 
 Counting conventions: a 2x2 submatrix is proportional to an order-2
 Hadamard matrix exactly when its two rows are orthogonal, which for
@@ -50,8 +50,10 @@ __all__ = [
 ]
 
 REAL_ENTRY_BOUND = 22
-# _SUBSETS[n]: the n-element subsets of range(6), one per row, lexicographic
+# _SUBSETS[n]: the n-element subsets of range(6), one per row, lexicographic;
+# _TUPLES[n]: the same subsets as tuples of 1-based indices
 _SUBSETS = [np.array(list(combinations(range(6), n)), dtype=int) for n in range(7)]
+_TUPLES = [list(combinations(range(1, 7), n)) for n in range(7)]
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,9 @@ class SubmatrixLoc:
         return A[np.ix_([r - 1 for r in self.rows], [c - 1 for c in self.cols])]
 
 
-def _locs(ok, row_sets, col_sets):
-    """A SubmatrixLoc per True of the (row set, column set) table ok, rows outer."""
-    return [SubmatrixLoc(row_sets[r] + 1, col_sets[c] + 1) for r, c in zip(*np.nonzero(ok))]
+def _locs(ok, p, q):
+    """A SubmatrixLoc per True of the (_SUBSETS[p], _SUBSETS[q]) table ok, rows outer."""
+    return [SubmatrixLoc(_TUPLES[p][r], _TUPLES[q][c]) for r, c in np.argwhere(ok).tolist()]
 
 
 def _real_mask(A, eq_tol):
@@ -94,8 +96,8 @@ def exceeds_real_bound(H, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def _real_selections(H, p, q, column_ok):
     """The p x q selections whose columns pass column_ok: (n, p, 6) rows -> (n, 6) mask."""
-    rows, cols = _SUBSETS[as_index(p, "p", 1, 6)], _SUBSETS[as_index(q, "q", 1, 6)]
-    return _locs(column_ok(as_matrix(H)[rows])[:, cols].all(axis=-1), rows, cols)
+    p, q = as_index(p, "p", 1, 6), as_index(q, "q", 1, 6)
+    return _locs(column_ok(as_matrix(H)[_SUBSETS[p]])[:, _SUBSETS[q]].all(axis=-1), p, q)
 
 
 def find_real_submatrices(H, p: int, q: int, tol: Tolerances = DEFAULT_TOL):
@@ -156,9 +158,8 @@ def is_h2_reducible(H, tol: Tolerances = DEFAULT_TOL) -> H2Partition | None:
     hits = np.flatnonzero(ok)
     if not hits.size:
         return None
-    one_based = lambda part: tuple(map(tuple, (_PAIRS[part] + 1).tolist()))
     r, c = divmod(int(hits[0]), len(_PARTITIONS))
-    return H2Partition(one_based(_PARTITIONS[r]), one_based(_PARTITIONS[c]))
+    return H2Partition(*(tuple(_TUPLES[2][i] for i in _PARTITIONS[x]) for x in (r, c)))
 
 
 def find_unitary_submatrices(H, k: int, tol: Tolerances = DEFAULT_TOL):
@@ -169,14 +170,14 @@ def find_unitary_submatrices(H, k: int, tol: Tolerances = DEFAULT_TOL):
     diagonal of S S*.  All C(6, k)^2 blocks are tested in one batch, off the
     diagonal from _pair_sums and on it from squared moduli summed over columns.
     """
-    sets = _SUBSETS[as_index(k, "k", 2, 6)]
-    A = as_matrix(H)
+    k = as_index(k, "k", 2, 6)
+    sets, A = _SUBSETS[k], as_matrix(H)
     with np.errstate(all="ignore"):
         off = _pair_sums(A, k)[_SET_PAIRS[k]].max(axis=1)                      # (rows, cols)
         diag = (A.real ** 2 + A.imag ** 2)[:, sets].sum(axis=-1)[sets]        # (rows, k, cols)
         c = diag.mean(axis=1)
         ok = (c > 0.0) & (off < tol.eq_tol) & (np.abs(diag - c[:, None]).max(axis=1) < tol.eq_tol)
-    return _locs(ok, sets, sets)
+    return _locs(ok, k, k)
 
 
 def _ranks(blocks):
@@ -249,14 +250,19 @@ class AnalysisReport:
     product_triple_found: bool | None = None
 
 
-# The AnalysisReport fields each section of analyze fills in.
-SECTION_FIELDS = {
-    "real": ("real_entry_count", "exceeds_bound", "real_3x2_raw", "real_3x2_rephased"),
-    "h2": ("h2_submatrix_count", "h2_reducible_partition"),
-    "unitary": ("unitary_3x3",),
-    "product": ("product_triple_found",),
+# analyze's sections: name -> (AnalysisReport fields, (H, tol) -> their values)
+_SECTIONS = {
+    "real": (("real_entry_count", "exceeds_bound", "real_3x2_raw", "real_3x2_rephased"),
+             lambda H, tol: (count_real_entries(H, tol), exceeds_real_bound(H, tol),
+                             find_real_submatrices(H, 3, 2, tol),
+                             find_real_submatrices_up_to_rephasing(H, 3, 2, tol))),
+    "h2": (("h2_submatrix_count", "h2_reducible_partition"),
+           lambda H, tol: (count_h2_submatrices(H, tol), is_h2_reducible(H, tol))),
+    "unitary": (("unitary_3x3",), lambda H, tol: (find_unitary_submatrices(H, 3, tol),)),
+    "product": (("product_triple_found",), lambda H, tol: (product_triple_exists(H),)),
 }
-ALL_SECTIONS = tuple(SECTION_FIELDS)
+SECTION_FIELDS = {name: fields for name, (fields, _) in _SECTIONS.items()}
+ALL_SECTIONS = tuple(_SECTIONS)
 
 
 def analyze(H, tol: Tolerances = DEFAULT_TOL, sections=ALL_SECTIONS) -> AnalysisReport:
@@ -266,16 +272,7 @@ def analyze(H, tol: Tolerances = DEFAULT_TOL, sections=ALL_SECTIONS) -> Analysis
         raise InvalidInput(f"unknown analyze sections {safe_repr(bad)}; known: {list(ALL_SECTIONS)}")
     as_hadamard(H, tol)
     fields = {"label": label_of(H)}
-    if "real" in sections:
-        fields["real_entry_count"] = count_real_entries(H, tol)
-        fields["exceeds_bound"] = exceeds_real_bound(H, tol)
-        fields["real_3x2_raw"] = find_real_submatrices(H, 3, 2, tol)
-        fields["real_3x2_rephased"] = find_real_submatrices_up_to_rephasing(H, 3, 2, tol)
-    if "h2" in sections:
-        fields["h2_submatrix_count"] = count_h2_submatrices(H, tol)
-        fields["h2_reducible_partition"] = is_h2_reducible(H, tol)
-    if "unitary" in sections:
-        fields["unitary_3x3"] = find_unitary_submatrices(H, 3, tol)
-    if "product" in sections:
-        fields["product_triple_found"] = product_triple_exists(H)
+    for name, (names, values) in _SECTIONS.items():
+        if name in sections:
+            fields.update(zip(names, values(H, tol), strict=True))
     return AnalysisReport(**fields)

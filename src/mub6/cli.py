@@ -12,6 +12,7 @@ show, plain normalize and analyze always print it, and check, normalize
 only way to set eq_tol, applies to check, normalize --lemma-form and
 analyze; refute audits at the default, so t alone sets its verdict.  No
 environment variable is read.  Only scan, which writes CSV, is seeded.
+The table _FAMILIES alone states each family's constructor, flags and defaults.
 """
 
 from __future__ import annotations
@@ -51,10 +52,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+class _ReadError(Exception):
+    """A matrix file that cannot be read or parsed: exit 3, like OSError."""
 
 
 def _jsonable(obj):
@@ -75,12 +74,20 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+# families show: family -> (constructor, {flag: (default or None if required, help)})
+_FAMILIES = {"m6": (m6, {"t": (None, "parameter, radians")}),
+             "f6": (fourier_f6, {"x1": (0.0, "first phase"), "x2": (0.0, "second phase")}),
+             "b6": (b6, {"theta": (None, "parameter, radians")}),
+             "s6": (s6, {})}
+
+
 def build_parser() -> _Parser:
     tol_flag = argparse.ArgumentParser(add_help=False)
-    tol_flag.add_argument("--tol", type=float, default=None,
-                          help="equality tolerance eq_tol (default 1e-9)")
+    tol_flag.add_argument("--tol", type=float, help="equality tolerance eq_tol (default 1e-9)")
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="emit JSON output")
+    in_flag = argparse.ArgumentParser(add_help=False)
+    in_flag.add_argument("--in", dest="path", required=True, metavar="JSON")
 
     parser = _Parser(prog="mub6",
                      description="order-6 complex Hadamard matrices: families, "
@@ -92,29 +99,26 @@ def build_parser() -> _Parser:
     famsub = fam.add_subparsers(required=True, metavar="action")
     show = famsub.add_parser("show", help="print one family member as JSON")
     show.set_defaults(handler=_cmd_families_show, parser=show)
-    show.add_argument("--family", required=True, choices=("m6", "f6", "b6", "s6"))
-    show.add_argument("--t", type=float, help="m6 parameter, radians")
-    show.add_argument("--x1", type=float, help="f6 first phase (default 0)")
-    show.add_argument("--x2", type=float, help="f6 second phase (default 0)")
-    show.add_argument("--theta", type=float, help="b6 parameter, radians")
+    show.add_argument("--family", required=True, choices=tuple(_FAMILIES))
+    for family, (_, flags) in _FAMILIES.items():
+        for name, (default, text) in flags.items():
+            show.add_argument(f"--{name}", type=float, help=f"{family} {text}" +
+                              ("" if default is None else f" (default {default:g})"))
 
-    check = sub.add_parser("check", parents=[tol_flag, json_flag],
+    check = sub.add_parser("check", parents=[tol_flag, json_flag, in_flag],
                            help="verify a JSON matrix is Hadamard / MU to the standard basis")
     check.set_defaults(handler=_cmd_check, parser=check)
-    check.add_argument("--in", dest="path", required=True, metavar="JSON")
 
-    norm = sub.add_parser("normalize", parents=[tol_flag, json_flag],
+    norm = sub.add_parser("normalize", parents=[tol_flag, json_flag, in_flag],
                           help="dephase a matrix or put it in lemma form")
     norm.set_defaults(handler=_cmd_normalize, parser=norm)
-    norm.add_argument("--in", dest="path", required=True, metavar="JSON")
     norm.add_argument("--lemma-form", dest="lemma_form", action="store_true",
                       help="search for the normalized shape with a real upper 3x2 block")
 
-    ana = sub.add_parser("analyze", parents=[tol_flag],
+    ana = sub.add_parser("analyze", parents=[tol_flag, in_flag],
                          help="structural measurements (real entries, 2x2 Hadamard "
                               "submatrices, unitary 3x3 submatrices, product columns)")
     ana.set_defaults(handler=_cmd_analyze, parser=ana)
-    ana.add_argument("--in", dest="path", required=True, metavar="JSON")
     ana.add_argument("--report", choices=("full", *SECTION_FIELDS), default="full")
 
     ref = sub.add_parser("refute", parents=[json_flag],
@@ -145,30 +149,21 @@ def _tolerances(args) -> Tolerances:
 def _load_matrix(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return matrix_from_json(text)
+            return matrix_from_json(fh.read())
     except (OSError, UnicodeDecodeError, InvalidInput) as exc:
-        raise _CliError(3, f"cannot read matrix from {path}: {exc}")
+        raise _ReadError(f"cannot read matrix from {path}: {exc}")
 
 
 def _cmd_families_show(parser, args) -> int:
-    takes = {"m6": ("t",), "f6": ("x1", "x2"), "b6": ("theta",), "s6": ()}[args.family]
-    for name in ("t", "x1", "x2", "theta"):
-        if getattr(args, name) is not None and name not in takes:
+    build, flags = _FAMILIES[args.family]
+    for name in (flag for _, others in _FAMILIES.values() for flag in others):
+        if getattr(args, name) is not None and name not in flags:
             parser.error(f"--{name} does not apply to {args.family}")
-    if args.family == "m6":
-        if args.t is None:
-            parser.error("--t is required for m6")
-        H = m6(args.t)
-    elif args.family == "f6":
-        H = fourier_f6(*(0.0 if x is None else x for x in (args.x1, args.x2)))
-    elif args.family == "b6":
-        if args.theta is None:
-            parser.error("--theta is required for b6")
-        H = b6(args.theta)
-    else:
-        H = s6()
-    print(matrix_to_json(H))
+    values = {name: default if getattr(args, name) is None else getattr(args, name)
+              for name, (default, _) in flags.items()}
+    if missing := [name for name, value in values.items() if value is None]:
+        parser.error(f"--{missing[0]} is required for {args.family}")
+    print(matrix_to_json(build(*values.values())))
     return 0
 
 
@@ -293,10 +288,7 @@ def main(argv=None) -> int:
         return args.handler(args.parser, args)
     except SystemExit as exc:
         return exc.code
-    except _CliError as exc:
-        print(f"mub6: error: {exc}", file=sys.stderr)
-        return exc.code
-    except OSError as exc:
+    except (_ReadError, OSError) as exc:
         print(f"mub6: error: {exc}", file=sys.stderr)
         return 3
     except (Mub6Error, MemoryError) as exc:

@@ -140,6 +140,8 @@ class CMat6:
     label: str | None = None
 
     def __post_init__(self):
+        if not (self.label is None or isinstance(self.label, str)):
+            raise InvalidInput(f"label must be a str or None, got {safe_repr(self.label)}")
         object.__setattr__(self, "entries", _frozen_array(self.entries, (6, 6), "entries"))
 
     def relabel(self, label):

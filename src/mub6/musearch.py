@@ -77,6 +77,8 @@ class MUVector:
     def __post_init__(self):
         phases = as_array(self.phases, float, "phases", (5,)).tolist()
         object.__setattr__(self, "phases", tuple(phases))
+        if not isinstance(self.vector, ColVec6):
+            raise InvalidInput(f"vector must be a ColVec6, got {type(self.vector).__name__}")
         object.__setattr__(self, "residual", as_real(self.residual, "residual"))
 
 

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import mub6
 from mub6 import (
+    SECTION_FIELDS,
+    AnalysisReport,
     InvalidInput,
     SQRT6,
     SubmatrixLoc,
@@ -341,11 +345,19 @@ def test_analyze_refuses_non_hadamard_input(A):
         analyze(A)
 
 
-def test_analyze_sections(f6):
-    rep = analyze(f6, sections=("h2",))
-    assert rep.h2_submatrix_count == 45
-    assert rep.real_entry_count is None
-    assert rep.product_triple_found is None
+@pytest.mark.parametrize("section", ["real", "h2", "unitary", "product"])
+def test_analyze_sections(f6, section):
+    """A one-section report fills exactly that section's fields, with the
+    values of the full report, and leaves every other field None."""
+    full, rep = analyze(f6), analyze(f6, sections=(section,))
+    assert rep.label == full.label
+    for field in dataclasses.fields(AnalysisReport):
+        if field.name in SECTION_FIELDS[section]:
+            assert getattr(rep, field.name) == getattr(full, field.name) is not None, field.name
+        elif field.name != "label":
+            assert getattr(rep, field.name) is None, field.name
+    if section == "h2":
+        assert rep.h2_submatrix_count == 45
 
 
 @pytest.mark.parametrize("sections", [("bogus",), ("h2", "unitary_3x3"), "h2", [["real"]],

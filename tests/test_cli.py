@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import itertools
 import json
 import subprocess
 import sys
@@ -161,6 +162,29 @@ def test_refute_exits_0(capsys):
 
 # ------------------------------------------------------------ families show
 
+# Every family with every subset of these four values: a call is accepted
+# when the family reads each given flag and is given each flag it requires.
+SHOW_VALUES = {"t": 2.0, "x1": 0.3, "x2": 1.1, "theta": 2.0}
+SHOW_MEMBERS = {   # family -> (flags it reads, flags it requires, constructor of the values)
+    "m6": ({"t"}, {"t"}, lambda v: mub6.m6(v["t"])),
+    "f6": ({"x1", "x2"}, set(), lambda v: mub6.fourier_f6(v.get("x1", 0.0), v.get("x2", 0.0))),
+    "b6": ({"theta"}, {"theta"}, lambda v: mub6.b6(v["theta"])),
+    "s6": (set(), set(), lambda v: mub6.s6()),
+}
+
+
+def _show_calls(accepted):
+    for family, (reads, requires, build) in SHOW_MEMBERS.items():
+        for n in range(len(SHOW_VALUES) + 1):
+            for given in itertools.combinations(SHOW_VALUES, n):
+                if (requires <= set(given) <= reads) == accepted:
+                    argv = ("--family", family,
+                            *itertools.chain(*((f"--{f}", str(SHOW_VALUES[f])) for f in given)))
+                    values = {f: SHOW_VALUES[f] for f in given}
+                    yield pytest.param(argv, lambda v=values, b=build: b(v),
+                                       id="-".join((family, *given)))
+
+
 @pytest.mark.parametrize("argv,builder", [
     (("--family", "f6", "--x1", "0.3", "--x2", "1.1"),
      lambda: mub6.fourier_f6(0.3, 1.1)),
@@ -169,10 +193,12 @@ def test_refute_exits_0(capsys):
     (("--family", "b6", "--theta", str(0.9 * PI)),
      lambda: mub6.b6(0.9 * PI)),
     (("--family", "s6"), lambda: mub6.s6()),
+    *_show_calls(accepted=True),
 ])
 def test_families_show_round_trip(capsys, tmp_path, schemas, argv, builder):
     code, out, _ = run(capsys, "families", "show", *argv)
     assert code == 0
+    assert out == matrix_to_json(builder()) + "\n"
     validate(schemas, "matrix.schema.json", out)
     H = mub6.matrix_from_json(out)
     np.testing.assert_array_equal(H.entries, builder().entries)
@@ -192,12 +218,20 @@ def test_families_show_round_trip(capsys, tmp_path, schemas, argv, builder):
     ("--family", "f6", "--t", "1.5"),
     ("--family", "f6", "--x1", "0.5", "--theta", "2"),
     ("--family", "b6", "--theta", "2", "--x2", "0.1"),
+    *(pytest.param(call.values[0], id=call.id) for call in _show_calls(accepted=False)),
 ])
 def test_families_show_refuses_parameters_the_family_does_not_take(capsys, argv):
-    """A value the chosen family does not read is a usage error, not dropped."""
-    code, out, err = run(capsys, "families", "show", *argv)
-    assert (code, out) == (1, "")
-    assert "does not apply to" in err
+    """A value the chosen family does not read is a usage error, not dropped,
+    and so is a missing value it requires; the first unread flag, in the
+    order --t --x1 --x2 --theta, is named before any missing one."""
+    result = run(capsys, "families", "show", *argv)
+    assert_usage_error(result, ["families", "show"])
+    family, given = argv[1], [flag[2:] for flag in argv[2::2]]
+    reads, requires, _ = SHOW_MEMBERS[family]
+    unread = [f for f in SHOW_VALUES if f in given and f not in reads]
+    missing = [f for f in SHOW_VALUES if f in requires and f not in given]
+    expected = (f"--{unread[0]} does not apply to" if unread else f"--{missing[0]} is required for")
+    assert result[2].endswith(f"mub6 families show: error: {expected} {family}\n")
 
 
 def test_families_show_f6_at_huge_and_non_finite_phases(capsys):

@@ -183,6 +183,21 @@ def test_cmat6_relabel():
     assert H.label == "x"
 
 
+def test_cmat6_refuses_a_label_that_is_not_text():
+    """The label is a str or None, the two values matrix_to_json writes and
+    matrix_from_json reads back; any other label would write a file that
+    the reader and schemas/matrix.schema.json refuse."""
+    F6 = mub6.fourier_f6()
+    for label in (5, ["a"], b"x", 0.5, False):
+        with pytest.raises(InvalidInput, match="label must be a str or None"):
+            CMat6(F6.entries, label)
+        with pytest.raises(InvalidInput, match="label must be a str or None"):
+            F6.relabel(label)
+    for label in (None, "", "x"):
+        H = F6.relabel(label)
+        assert mub6.matrix_from_json(matrix_to_json(H)).label == (label or None)
+
+
 def test_unitarity_residual_identity():
     assert unitarity_residual(np.eye(6, dtype=complex)) < 1e-15
     assert is_unitary(np.eye(6, dtype=complex))

@@ -58,6 +58,17 @@ def test_muvector_validation(f6):
     assert type(m.residual) is float
 
 
+def test_muvector_refuses_a_vector_that_is_not_a_colvec6():
+    """extract_bases reads vector.entries, so a vector of another type is
+    refused where the record is built, not later with an AttributeError."""
+    v = np.ones(6, dtype=complex) / SQRT6
+    for vector in ("x", v, list(v), None):
+        with pytest.raises(InvalidInput, match="vector must be a ColVec6"):
+            MUVector((0.0,) * 5, vector, 0.0)
+    good = MUVector((0.0,) * 5, mub6.ColVec6(v), 0.0)
+    assert mub6.extract_bases([good]) == []
+
+
 def test_scanrow_validation():
     ScanRow(t=2.0, n_mu_vectors=4, n_bases=1, n_triples=1,
             max_residual=1e-12, wall_time=0.1)
