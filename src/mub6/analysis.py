@@ -7,6 +7,7 @@ submatrix finders list their hits from one table over (rows, columns).  The
 h2 and unitary tests read one table of row-pair inner products; the product
 test skips the SVD of any 2x3 block that a Cauchy-Binet bound shows to be
 rank two.  _SECTIONS alone states each section of analyze and its fields.
+SubmatrixLoc accepts exactly the non-empty index sets of _TUPLES.
 
 Counting conventions: a 2x2 submatrix is proportional to an order-2
 Hadamard matrix exactly when its two rows are orthogonal, which for
@@ -26,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, SQRT6, Tolerances, as_hadamard, as_index, as_indices, as_matrix,
-                   as_tuple, as_vector, label_of, mod_pi_sign, safe_repr)
+from .core import (DEFAULT_TOL, SQRT6, Tolerances, as_hadamard, as_index, as_matrix, as_tuple,
+                   as_vector, is_index, label_of, mod_pi_sign, safe_repr)
 from .errors import InvalidInput
 
 __all__ = [
@@ -54,6 +55,7 @@ REAL_ENTRY_BOUND = 22
 # _TUPLES[n]: the same subsets as tuples of 1-based indices
 _SUBSETS = [np.array(list(combinations(range(6), n)), dtype=int) for n in range(7)]
 _TUPLES = [list(combinations(range(1, 7), n)) for n in range(7)]
+_LOC_TUPLES = {t: t for n in range(1, 7) for t in _TUPLES[n]}    # the valid rows and cols
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,10 @@ class SubmatrixLoc:
 
     def __post_init__(self):
         for name in ("rows", "cols"):
-            idx = as_indices(getattr(self, name), name, 1, 6)
-            if not idx or list(idx) != sorted(set(idx)):
-                raise InvalidInput(f"{name} must be non-empty and strictly increasing")
-            object.__setattr__(self, name, idx)
+            v = as_tuple(getattr(self, name), name)
+            if not (all(map(is_index, v)) and v in _LOC_TUPLES):
+                raise InvalidInput(f"{name} must be ascending integers in 1..6, got {safe_repr(v)}")
+            object.__setattr__(self, name, _LOC_TUPLES[v])
 
     def take(self, A):
         """The selected block of a 6x6 array (0-based internally)."""

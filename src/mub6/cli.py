@@ -269,9 +269,8 @@ def _cmd_scan(parser, args) -> int:
     if not math.isfinite(args.t_to - args.t_from):    # also false for a non-finite bound
         parser.error("--t-from and --t-to must be finite and so must their difference")
     cfg = OptimConfig(starts=args.starts, seed=args.seed)
-    ts = [float(x) for x in np.linspace(args.t_from, args.t_to, args.steps)]
     with open(args.out, "w", encoding="utf-8") as fh:
-        rows = scan_m6(ts, cfg)
+        rows = scan_m6(np.linspace(args.t_from, args.t_to, args.steps), cfg)
         fh.write(render_scan_csv(rows, cfg, timing=args.timing))
     flagged = sum(1 for r in rows if r.error is not None)
     print(f"wrote {len(rows)} rows to {args.out}" +

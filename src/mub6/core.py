@@ -9,11 +9,12 @@ as_real (one int or float) and as_array (ints, floats, and complex numbers
 where asked for; never text, bool or None), as_matrix (shape, finite
 entries), as_hadamard (the refusal of a non-Hadamard input),
 is_unimodular, as_index and as_indices (integers in a range), as_tuple
-(iterables) and label_of.  Fixed cut-offs remain: entries below 1e-12
-count as zero, hence phaseless, in equivalence.dephase and in
-analysis._real_up_to_phase; to_lemma_form reads the (-1, s, -s) tail
-within 10 * eq_tol; and families._pair_from_sum forgives a rounding of
-1e-12 below zero under its square root.
+(iterables) and label_of; matrix_from_json reads each entry part with
+as_real.  Fixed cut-offs remain: entries below 1e-12 count as zero, hence
+phaseless, in equivalence.dephase and in analysis._real_up_to_phase;
+to_lemma_form reads the (-1, s, -s) tail within 10 * eq_tol; and
+families._pair_from_sum forgives a rounding of 1e-12 below zero under its
+square root.
 """
 
 from __future__ import annotations
@@ -279,12 +280,5 @@ def matrix_from_json(text: str) -> CMat6:
         for j, cell in enumerate(row):
             if not (isinstance(cell, list) and len(cell) == 2):
                 raise InvalidInput(f"entry ({i},{j}) must be a [re, im] pair")
-            # JSON true/false parse to bool, a subclass of int, but are not numbers
-            if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell):
-                raise InvalidInput(f"entry ({i},{j}) has non-numeric parts")
-            re, im = cell
-            try:
-                entries[i, j] = complex(re, im)
-            except OverflowError as exc:
-                raise InvalidInput(f"entry ({i},{j}) does not fit a double: {exc}") from exc
+            entries[i, j] = complex(*(as_real(x, f"entry ({i},{j})") for x in cell))
     return CMat6(entries, obj["label"] or None)

@@ -39,7 +39,7 @@ from typing import ClassVar
 import numpy as np
 
 from .core import (DEFAULT_TOL, SQRT6, ColVec6, Tolerances, as_array, as_hadamard, as_index,
-                   as_indices, as_matrix, as_real, as_tuple, is_hadamard, is_index)
+                   as_indices, as_matrix, as_real, as_tuple, is_hadamard)
 from .errors import DomainError, InvalidInput
 from .families import m6
 
@@ -92,15 +92,9 @@ class OptimConfig:
     tol: ClassVar[Tolerances] = DEFAULT_TOL
 
     def __post_init__(self):
-        for name in ("starts", "seed"):
-            if not is_index(getattr(self, name)):
-                raise InvalidInput(f"{name} must be an integer")
-        if self.starts < 1:
-            raise InvalidInput("starts must be >= 1")
-        if self.starts > np.iinfo(np.intp).max // 40:    # numpy's cap on the (starts, 5) draw
-            raise InvalidInput("starts exceed what one array of start phases can hold")
-        if self.seed < 0:
-            raise InvalidInput("seed must be >= 0")
+        cap = np.iinfo(np.intp).max // 40     # numpy's cap on the (starts, 5) draw
+        object.__setattr__(self, "starts", as_index(self.starts, "starts", 1, cap))
+        object.__setattr__(self, "seed", as_index(self.seed, "seed", 0, math.inf))
 
 
 @dataclass(frozen=True)
@@ -294,7 +288,7 @@ def extract_bases(vectors, tol: Tolerances = DEFAULT_TOL):
                            "could pass as pairwise orthogonal in C^6")
     if len(vectors) < 6:
         return []
-    V = np.stack([np.asarray(m.vector.entries) for m in vectors])
+    V = np.stack([m.vector.entries for m in vectors])
     later = np.triu(np.abs(np.conj(V) @ V.T) < tol.eq_tol, 1)   # later[i, j]: j > i, orthogonal
 
     sextets = []
@@ -323,7 +317,7 @@ def verify_triple(H, vectors, clique, tol: Tolerances = DEFAULT_TOL) -> bool:
     if len(set(idx)) != 6 or len(idx) != 6:
         raise InvalidInput(f"clique must be six distinct indices below {len(vectors)}")
     A = as_matrix(H)
-    B = np.stack([np.asarray(vectors[i].vector.entries) for i in idx], axis=1)
+    B = np.stack([vectors[i].vector.entries for i in idx], axis=1)
     if not (is_hadamard(A, tol) and is_hadamard(B, tol)):
         return False
     return bool(np.max(_unbiasedness_residuals(A, B.T)) < tol.residual_tol)
@@ -365,13 +359,13 @@ def render_scan_csv(rows, cfg: OptimConfig, timing: bool = False) -> str:
         a = np.exp(1j * row.t) if math.isfinite(row.t) else complex(math.nan, math.nan)
         wall = f"{row.wall_time:.6f}" if timing else "0.000000"
         lines.append(",".join([
-            repr(float(row.t)),
+            repr(row.t),
             repr(float(a.real)),
             repr(float(a.imag)),
             str(row.n_mu_vectors),
             str(row.n_bases),
             str(row.n_triples),
-            repr(float(row.max_residual)),
+            repr(row.max_residual),
             str(cfg.starts),
             str(cfg.seed),
             wall,

@@ -606,7 +606,7 @@ def test_scan_refuses_negative_seed(capsys, tmp_path):
                          "--steps", "1", "--starts", "10", "--seed", "-1", "--out", out)
     assert code == 1
     assert msg == ""
-    assert err == "mub6: error: seed must be >= 0\n"
+    assert err == "mub6: error: seed must be an integer in 0..inf, got -1\n"
     assert not out.exists()
 
 

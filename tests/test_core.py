@@ -268,10 +268,19 @@ def test_json_malformed_rejected(text):
 
 
 def test_json_non_numeric_entry_rejected(f6):
-    obj = json.loads(matrix_to_json(f6))
-    obj["matrix"][0][0] = ["a", 0.0]
-    with pytest.raises(InvalidInput):
-        matrix_from_json(json.dumps(obj))
+    """Each part is read by as_real: text, JSON true, null and an int no
+    double holds are refused in either slot of the pair."""
+    for part in ("a", True, None, 10**400):
+        for slot in (0, 1):
+            obj = json.loads(matrix_to_json(f6))
+            obj["matrix"][0][0][slot] = part
+            with pytest.raises(InvalidInput, match=r"^entry \(0,0\) must be a real number"):
+                matrix_from_json(json.dumps(obj))
+
+
+def test_json_int_part_read_exactly():
+    obj = {"label": "", "matrix": [[[2**64, 0]] * 6] * 6}
+    assert matrix_from_json(json.dumps(obj)).entries[0, 0] == complex(float(2**64), 0.0)
 
 
 MODULES = ("core", "errors", "families", "equivalence", "analysis", "refutation", "musearch")

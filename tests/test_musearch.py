@@ -30,12 +30,18 @@ def column_residual(H, phases):
 
 def test_optim_config_validation():
     OptimConfig(starts=1)
-    with pytest.raises(InvalidInput):
-        OptimConfig(starts=0)
+    cap = np.iinfo(np.intp).max // 40     # numpy's cap on the (starts, 5) draw
+    for kwargs, message in (({"starts": 0}, f"starts must be an integer in 1..{cap}, got 0"),
+                            ({"starts": cap + 1},
+                             f"starts must be an integer in 1..{cap}, got {cap + 1}"),
+                            ({"seed": -1}, "seed must be an integer in 0..inf, got -1")):
+        with pytest.raises(InvalidInput) as info:
+            OptimConfig(**kwargs)
+        assert str(info.value) == message
     OptimConfig(seed=0)
-    with pytest.raises(InvalidInput, match="seed"):
-        OptimConfig(seed=-1)
-    OptimConfig(starts=np.int64(3), seed=np.uint32(7))
+    cfg = OptimConfig(starts=np.int64(3), seed=np.uint32(7))
+    assert (cfg.starts, cfg.seed) == (3, 7)
+    assert type(cfg.starts) is int and type(cfg.seed) is int
     for bad in (2.5, 3.0, True, "3", None):
         with pytest.raises(InvalidInput, match="starts"):
             OptimConfig(starts=bad)

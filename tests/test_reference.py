@@ -2,23 +2,26 @@
 
 to_lemma_form, find_real_submatrices (raw and up to rephasing),
 count_h2_submatrices, is_h2_reducible, find_unitary_submatrices,
-product_triple_exists and the CLI's JSON output were once written as
-explicit loops, brute force and hand-built payloads.  Those versions live
-on here, and the package must agree with them exactly: on disguised
-members of all four families (random and permute-only moves) and on b6 at
-theta = pi.  For the JSON outputs, agreement means byte-equal stdout.
+product_triple_exists, the CLI's JSON output and SubmatrixLoc's check were
+once written as explicit loops, brute force, hand-built payloads and a
+per-item rule.  Those versions live on here, and the package must agree
+with them exactly: on disguised members of all four families (random and
+permute-only moves) and on b6 at theta = pi.  For the JSON outputs,
+agreement means byte-equal stdout.
 """
 
 import json
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
 import mub6
 from mub6 import SQRT6, matrix_to_json
-from mub6.analysis import ALL_SECTIONS, _GRIDS, _PAIRS, _PARTITIONS
+from mub6.analysis import ALL_SECTIONS, _GRIDS, _PAIRS, _PARTITIONS, SubmatrixLoc
 from mub6.cli import main
+from mub6.core import is_index
+from mub6.errors import InvalidInput
 
 EQ = mub6.DEFAULT_TOL.eq_tol
 N_PER_FAMILY = 52
@@ -320,6 +323,53 @@ def test_grid_table_covers_every_arrangement():
     classes = {_grid_class(p.reshape(2, 3)) for p in ALL_PERMS}
     classes |= {_grid_class(p.reshape(3, 2).T) for p in ALL_PERMS}
     assert classes == table
+
+
+# ------------------------------------------------------ submatrix locations
+
+def ref_loc_tuple(values):
+    """The rule SubmatrixLoc once stated itself: one or more items, each an
+    integer (is_index) in 1..6, strictly increasing.  The accepted tuple of
+    Python ints, or None for a refusal."""
+    try:
+        items = list(values)
+    except TypeError:
+        return None
+    if not items or not all(is_index(v) and 1 <= v <= 6 for v in items):
+        return None
+    items = [int(v) for v in items]
+    return tuple(items) if all(a < b for a, b in zip(items, items[1:])) else None
+
+
+def _loc_candidates():
+    for n in range(5):
+        yield from product(range(-1, 8), repeat=n)
+    for n in range(1, 7):
+        yield from permutations(range(1, 7), n)
+    for n in range(1, 7):
+        for subset in combinations(range(1, 7), n):
+            for dtype in (np.int8, np.int64, np.uint64):
+                yield np.array(subset, dtype=dtype)
+    yield from ((1.9, 2.2, 3), (True, 2), (1.0, 2.0), ("1", "2"), "12", None, 3, [10**5000],
+                10**5000)
+
+
+def test_submatrix_loc_matches_old_rule():
+    """SubmatrixLoc accepts exactly what the old per-item rule accepted, in
+    either field, and stores the same tuple of Python ints."""
+    accepted = 0
+    for values in _loc_candidates():
+        want = ref_loc_tuple(values)
+        for name, args in (("rows", (values, (1,))), ("cols", ((1,), values))):
+            if want is None:
+                with pytest.raises(InvalidInput, match=f"^{name} must be"):
+                    SubmatrixLoc(*args)
+                continue
+            got = getattr(SubmatrixLoc(*args), name)
+            assert got == want and all(type(v) is int for v in got)
+            accepted += 1
+    # per field: the 56 sets of size 1..4, then all 63 sets in order and as three arrays
+    assert accepted == 2 * (56 + 63 + 3 * 63)
 
 
 # ------------------------------------------------------- CLI JSON payloads

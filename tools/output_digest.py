@@ -2,7 +2,10 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tools/output_digest.py
+    python tools/output_digest.py
+
+It imports mub6 from the src directory of its own checkout, whatever the
+current directory or PYTHONPATH.
 
 The first line hashes render_scan_csv(scan_m6(m6_grid()), OptimConfig()),
 the 50-point MU scan at 2000 starts, seed 0.  The second hashes the exit
@@ -26,15 +29,17 @@ import importlib.util
 import io
 import itertools
 import os
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from mub6 import OptimConfig, m6_grid, matrix_to_json, render_scan_csv, scan_m6
-from mub6.cli import main
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from mub6 import OptimConfig, m6_grid, matrix_to_json, render_scan_csv, scan_m6  # noqa: E402
+from mub6.cli import main  # noqa: E402
 LEAVES = ([], ["families", "show"], ["check"], ["normalize"], ["analyze"], ["refute"], ["scan"])
 SHOW_FLAGS = (("--t", "2.0"), ("--x1", "0.3"), ("--x2", "1.1"), ("--theta", "2.0"))
 
