@@ -3,7 +3,8 @@
 Real-entry counting, real p x q submatrix detection (raw and up to
 per-column rephasing), 2x2 Hadamard submatrix counting, H2-reducibility,
 unitary k x k submatrices, product-vector columns, and numerical rank.  The
-submatrix finders list their hits from one table over (rows, columns).  The
+submatrix finders list their hits from one table over (rows, columns).
+Realness reads one rule, _collinear, which answers alike at any scale.  The
 h2 and unitary tests read one table of row-pair inner products; the product
 test skips the SVD of any 2x3 block that a Cauchy-Binet bound shows to be
 rank two.  _SECTIONS alone states each section of analyze and its fields.
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, SQRT6, Tolerances, as_hadamard, as_index, as_matrix, as_tuple,
+from .core import (DEFAULT_TOL, Tolerances, _PHASELESS, as_hadamard, as_index, as_matrix, as_tuple,
                    as_vector, is_index, label_of, mod_pi_sign, safe_repr)
 from .errors import InvalidInput
 
@@ -82,41 +83,42 @@ def _locs(ok, p, q):
     return [SubmatrixLoc(_TUPLES[p][r], _TUPLES[q][c]) for r, c in np.argwhere(ok).tolist()]
 
 
-def _real_mask(A, eq_tol):
-    # entries carry the 1/sqrt(6) scale, so realness is tested scale-relative
-    with np.errstate(all="ignore"):
-        return np.abs(A.imag) * SQRT6 < eq_tol
+def _collinear(z, phase, eq_tol):
+    """The realness rule, scale-free: z is a real multiple of the unit phase
+    (core.mod_pi_sign), or below _PHASELESS, where it has no phase to obstruct.
+    An entry is real when collinear with 1; a column of a selection is real up
+    to phase when collinear with the phase of its first entry that has one."""
+    return (mod_pi_sign(z, phase, eq_tol) != 0) | (np.abs(z) < _PHASELESS)
 
 
 def count_real_entries(H, tol: Tolerances = DEFAULT_TOL) -> int:
-    return int(np.sum(_real_mask(as_matrix(H), tol.eq_tol)))
+    return int(np.sum(_collinear(as_matrix(H), 1.0, tol.eq_tol)))
 
 
 def exceeds_real_bound(H, tol: Tolerances = DEFAULT_TOL) -> bool:
     return count_real_entries(H, tol) > REAL_ENTRY_BOUND
 
 
-def _real_selections(H, p, q, column_ok):
-    """The p x q selections whose columns pass column_ok: (n, p, 6) rows -> (n, 6) mask."""
-    p, q = as_index(p, "p", 1, 6), as_index(q, "q", 1, 6)
-    return _locs(column_ok(as_matrix(H)[_SUBSETS[p]])[:, _SUBSETS[q]].all(axis=-1), p, q)
+def _real_selections(column_ok, p, q):
+    """The p x q selections whose columns pass column_ok, a row of 6 per _SUBSETS[p] set."""
+    return _locs(column_ok[:, _SUBSETS[q]].all(axis=-1), p, q)
 
 
 def find_real_submatrices(H, p: int, q: int, tol: Tolerances = DEFAULT_TOL):
     """All p x q index selections whose entries are real as they stand."""
-    return _real_selections(H, p, q, lambda sub: _real_mask(sub, tol.eq_tol).all(axis=1))
-
-
-def _real_up_to_phase(sub, eq_tol):
-    # anchor: a column's first entry of modulus >= 1e-12; smaller never obstruct
-    live = np.abs(sub) >= 1e-12
-    anchor = np.take_along_axis(sub, live.argmax(axis=1)[:, None, :], axis=1)
-    return np.all((mod_pi_sign(sub, anchor, eq_tol) != 0) | ~live, axis=1)
+    p, q = as_index(p, "p", 1, 6), as_index(q, "q", 1, 6)
+    real = _collinear(as_matrix(H), 1.0, tol.eq_tol)
+    return _real_selections(real[_SUBSETS[p]].all(axis=1), p, q)
 
 
 def find_real_submatrices_up_to_rephasing(H, p: int, q: int, tol: Tolerances = DEFAULT_TOL):
     """All p x q selections that one phase per column makes entirely real."""
-    return _real_selections(H, p, q, lambda sub: _real_up_to_phase(sub, tol.eq_tol))
+    p, q = as_index(p, "p", 1, 6), as_index(q, "q", 1, 6)
+    sub = as_matrix(H)[_SUBSETS[p]]                 # (row selection, p, 6)
+    first = sub[np.arange(len(sub))[:, None], (np.abs(sub) >= _PHASELESS).argmax(axis=1), range(6)]
+    with np.errstate(all="ignore"):                # a column with no phase gives NaN
+        ok = _collinear(sub, (first / np.abs(first))[:, None, :], tol.eq_tol).all(axis=1)
+    return _real_selections(ok, p, q)
 
 
 class H2Partition(NamedTuple):
@@ -255,7 +257,7 @@ class AnalysisReport:
 # analyze's sections: name -> (AnalysisReport fields, (H, tol) -> their values)
 _SECTIONS = {
     "real": (("real_entry_count", "exceeds_bound", "real_3x2_raw", "real_3x2_rephased"),
-             lambda H, tol: (count_real_entries(H, tol), exceeds_real_bound(H, tol),
+             lambda H, tol: ((n := count_real_entries(H, tol)), n > REAL_ENTRY_BOUND,
                              find_real_submatrices(H, 3, 2, tol),
                              find_real_submatrices_up_to_rephasing(H, 3, 2, tol))),
     "h2": (("h2_submatrix_count", "h2_reducible_partition"),

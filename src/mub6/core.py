@@ -10,11 +10,10 @@ where asked for; never text, bool or None), as_matrix (shape, finite
 entries), as_hadamard (the refusal of a non-Hadamard input),
 is_unimodular, as_index and as_indices (integers in a range), as_tuple
 (iterables) and label_of; matrix_from_json reads each entry part with
-as_real.  Fixed cut-offs remain: entries below 1e-12 count as zero, hence
-phaseless, in equivalence.dephase and in analysis._real_up_to_phase;
-to_lemma_form reads the (-1, s, -s) tail within 10 * eq_tol; and
-families._pair_from_sum forgives a rounding of 1e-12 below zero under its
-square root.
+as_real.  mod_pi_sign is the one phase comparison, and it is scale-free.
+Fixed cut-offs: an entry of modulus below _PHASELESS has no phase (in
+dephase and analysis' realness rule); to_lemma_form reads its tail within
+10 * eq_tol.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from .errors import InvalidInput
 
 SQRT6 = np.sqrt(6.0)
 _MAX_DOUBLE = float(np.finfo(float).max)
+_PHASELESS = 1e-12      # entries of smaller modulus have no phase
 
 __all__ = [
     "SQRT6",
@@ -63,8 +63,9 @@ class Tolerances:
 
     def __post_init__(self):
         # below 1 a zero entry fails the modulus test; NaN fails this form too
-        if not 0.0 < as_real(self.eq_tol, "eq_tol") < 1.0:
+        if not 0.0 < (eq_tol := as_real(self.eq_tol, "eq_tol")) < 1.0:
             raise InvalidInput("eq_tol must lie strictly between 0 and 1")
+        object.__setattr__(self, "eq_tol", eq_tol)
 
 
 def is_index(x) -> bool:

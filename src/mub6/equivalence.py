@@ -23,8 +23,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import (CMat6, DEFAULT_TOL, SQRT6, Tolerances, _frozen_array, as_hadamard, as_indices,
-                   as_matrix, is_unimodular, label_of, mod_pi_sign)
+from .core import (CMat6, DEFAULT_TOL, SQRT6, Tolerances, _PHASELESS, _frozen_array, as_hadamard,
+                   as_indices, as_matrix, is_unimodular, label_of, mod_pi_sign)
 from .errors import InvalidInput, SolveError
 
 __all__ = [
@@ -63,15 +63,10 @@ class TransformRecord:
             object.__setattr__(self, name, ph)
 
 
-def random_record(rng, permute_only: bool = False) -> TransformRecord:
+def random_record(rng) -> TransformRecord:
     """A random equivalence move drawn from the given numpy Generator."""
     rp, cp = rng.permutation(6) + 1, rng.permutation(6) + 1
-    if permute_only:
-        one = np.ones(6, dtype=complex)
-        return TransformRecord(rp, cp, one, one)
-    rph = np.exp(2j * np.pi * rng.uniform(size=6))
-    cph = np.exp(2j * np.pi * rng.uniform(size=6))
-    return TransformRecord(rp, cp, rph, cph)
+    return TransformRecord(rp, cp, *np.exp(2j * np.pi * rng.uniform(size=(2, 6))))
 
 
 def apply(H, r: TransformRecord) -> CMat6:
@@ -93,7 +88,7 @@ def dephase(H):
     A = as_matrix(H)
     # huge entries may overflow to non-finite ones, which CMat6 rejects
     with np.errstate(all="ignore"):
-        if np.min(np.abs(A[:, 0])) < 1e-12 or np.min(np.abs(A[0, :])) < 1e-12:
+        if np.min(np.abs(A[:, 0])) < _PHASELESS or np.min(np.abs(A[0, :])) < _PHASELESS:
             raise InvalidInput("dephasing undefined: zero entry in first row or column")
         rph = np.conj(A[:, 0] / np.abs(A[:, 0]))
         B = rph[:, None] * A

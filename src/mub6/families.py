@@ -64,13 +64,12 @@ def _pair_from_sum(S: complex):
     """The two unimodular numbers x, y with x + y = S and |x| = |y| = 1.
 
     Writing x, y = S/2 +- u, the offset u must be perpendicular to S with
-    |S/2|^2 + |u|^2 = 1, so u = i * (S/|S|) * sqrt(1 - |S/2|^2).
+    |S/2|^2 + |u|^2 = 1, so u = i * (S/|S|) * sqrt(1 - |S/2|^2).  The sums of
+    solve_m6_entries have S != 0 and |S/2| <= 1/sqrt(2) (0.70710678 at most
+    for |a| within 1e-9 of 1), so the root is real.
     """
     half = S / 2.0
-    mag2 = 1.0 - abs(half) ** 2
-    if mag2 < -1e-12:
-        raise SolveError(f"no unimodular pair sums to {S}")
-    u = 1j * (S / abs(S)) * np.sqrt(max(mag2, 0.0))
+    u = 1j * (S / abs(S)) * np.sqrt(1.0 - abs(half) ** 2)
     return half + u, half - u
 
 
@@ -85,6 +84,7 @@ def solve_m6_entries(a: complex):
 
     and unimodularity splits each sum into a conjugate-symmetric pair.
     d + e is formed as -a Re(a), equal for |a| = 1: 1 + a^2 cancels near +-i.
+    At the open arc ends a = +-i, d + e = 0; they are refused like a = 1.
     The branch signs are fixed to the one continuous in t that passes
     through t = pi; the remaining orthogonality relations then hold
     identically.  Only the domain of a is checked here, at the default
@@ -93,8 +93,8 @@ def solve_m6_entries(a: complex):
     a = as_array(a, complex, "a", ())[()]
     if not is_unimodular(a):
         raise DomainError(f"parameter a must be unimodular, got |a| = {abs(a)}")
-    if a == 1.0:
-        raise DomainError("a = 1 is an excluded parameter of the family")
+    if a == 1.0 or a.real == 0.0:
+        raise DomainError("a = 1 and a = +-i are excluded parameters of the family")
     aa = a * a
     b, c = _pair_from_sum((aa - 2.0 * a - 1.0) / 2.0)
     d, e = _pair_from_sum(-a * a.real)

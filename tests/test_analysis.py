@@ -106,6 +106,25 @@ def test_rephased_detector_ignores_column_phases(f6):
     assert [(l.rows, l.cols) for l in a] == [(l.rows, l.cols) for l in b]
 
 
+@pytest.mark.parametrize("scale", [3e-12, 1e-6, 1e6, 1e150, 1e300])
+def test_realness_is_scale_free(scale):
+    """Realness is a property of the entries' phases: on seven members and a
+    disguise of each, the count and both 3x2 finders read the same at any
+    scale from just above the phaseless cut-off to near the largest doubles,
+    and a block real as it stands stays real up to rephasing."""
+    rng = np.random.default_rng(36)
+    members = (mub6.fourier_f6(), mub6.fourier_f6(0.3, 1.1), mub6.s6(), b6(2.0), b6(np.pi),
+               m6(2.0), m6(np.pi))
+    for H in members + tuple(mub6.apply(H, mub6.random_record(rng)) for H in members):
+        A = H.entries * scale
+        raw = [(l.rows, l.cols) for l in find_real_submatrices(A, 3, 2)]
+        rph = [(l.rows, l.cols) for l in find_real_submatrices_up_to_rephasing(A, 3, 2)]
+        assert count_real_entries(A) == count_real_entries(H)
+        assert raw == [(l.rows, l.cols) for l in find_real_submatrices(H, 3, 2)]
+        assert rph == [(l.rows, l.cols) for l in find_real_submatrices_up_to_rephasing(H, 3, 2)]
+        assert set(raw) <= set(rph)
+
+
 def test_f6_h2_count_vs_difference_oracle(f6):
     """A 2x2 block of the Fourier matrix at rows (a,b), cols (c,d) has
     orthogonal rows iff (b-a)(d-c) = 3 mod 6.  Counting pairs by their
@@ -204,7 +223,7 @@ def test_is_product_vector_tensor_constructions():
         v23 = np.kron(u2, u3)       # row-major 2x3 factorization
         v32 = np.kron(u3, u2)
         assert is_product_vector(v23, "2x3")
-        assert is_product_vector(v32, "3x2")
+        assert is_product_vector(mub6.ColVec6(v32), "3x2")
     with pytest.raises(InvalidInput):
         is_product_vector(np.ones(6), "6x1")
 
@@ -320,7 +339,9 @@ def test_product_certificate_edges():
             outcomes.append(found)
     for t in np.pi - np.linspace(5e-5, 1.5e-4, 51):
         H = m6(t)
-        for D in (H, mub6.apply(H, mub6.random_record(rng, permute_only=True))):
+        moved = mub6.TransformRecord(rng.permutation(6) + 1, rng.permutation(6) + 1,
+                                     np.ones(6), np.ones(6))
+        for D in (H, mub6.apply(H, moved)):
             found = check(D)
             assert found is ref_product_triple_exists(D.entries, rank_tol), t
             outcomes.append(found)

@@ -48,6 +48,16 @@ def test_tolerances_validation():
     assert Tolerances(eq_tol=np.float64(1e-6)).eq_tol == 1e-6
 
 
+def test_tolerances_store_a_float():
+    """A numpy float is stored as the Python float as_real reads, so the
+    refusals print it as one."""
+    for eq_tol in (np.float32(1e-9), np.float64(1e-6), 1e-3):
+        tol = Tolerances(eq_tol=eq_tol)
+        assert type(tol.eq_tol) is float and tol.eq_tol == float(eq_tol)
+    with pytest.raises(InvalidInput, match=r"within eq_tol = 9\.999999717180685e-10$"):
+        mub6.core.as_hadamard(np.ones((6, 6)), Tolerances(eq_tol=np.float32(1e-9)))
+
+
 @pytest.mark.parametrize("func", [mub6.dephase, mub6.submatrix_rank, mub6.is_product_vector,
                                   mub6.product_triple_exists, mub6.b6,
                                   mub6.verify_tail_structure, mub6.third_column_witness],

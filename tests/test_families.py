@@ -65,6 +65,9 @@ def test_solver_rejects_non_unimodular_a():
         solve_m6_entries(complex("nan"))
     with pytest.raises(DomainError):
         solve_m6_entries(1.0 + 0.0j)  # a = 1 is the excluded endpoint
+    for a in (1j, -1j):               # the open arc ends t = pi/2 and 3 pi/2
+        with pytest.raises(DomainError, match="excluded parameter"):
+            solve_m6_entries(a)
     for a in ("x", "1j", None, True, [1j, 1j], [[1j]]):
         with pytest.raises(InvalidInput, match="^a must"):
             solve_m6_entries(a)

@@ -46,7 +46,13 @@ seeds = st.integers(0, 2**32 - 1)
 @settings(max_examples=25, deadline=None)
 @given(members, seeds, st.booleans())
 def test_equivalence_moves_keep_structure(H, seed, permute_only):
-    G = mub6.apply(H, mub6.random_record(np.random.default_rng(seed), permute_only))
+    rng = np.random.default_rng(seed)
+    if permute_only:
+        move = mub6.TransformRecord(rng.permutation(6) + 1, rng.permutation(6) + 1,
+                                    np.ones(6), np.ones(6))
+    else:
+        move = mub6.random_record(rng)
+    G = mub6.apply(H, move)
     assert (mub6.to_lemma_form(G) is None) == (mub6.to_lemma_form(H) is None)
     assert mub6.count_h2_submatrices(G) == mub6.count_h2_submatrices(H)
     assert (mub6.is_h2_reducible(G) is None) == (mub6.is_h2_reducible(H) is None)

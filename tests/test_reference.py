@@ -1,12 +1,14 @@
 """Loop versions of the table-driven searches, kept as references.
 
-to_lemma_form, find_real_submatrices (raw and up to rephasing),
-count_h2_submatrices, is_h2_reducible, find_unitary_submatrices,
-product_triple_exists, the CLI's JSON output and SubmatrixLoc's check were
-once written as explicit loops, brute force, hand-built payloads and a
-per-item rule.  Those versions live on here, and the package must agree
-with them exactly: on disguised members of all four families (random and
-permute-only moves) and on b6 at theta = pi.  For the JSON outputs,
+to_lemma_form, count_real_entries, find_real_submatrices (raw and up to
+rephasing), count_h2_submatrices, is_h2_reducible,
+find_unitary_submatrices, product_triple_exists, the CLI's JSON output and
+SubmatrixLoc's check were once written as explicit loops, brute force,
+hand-built payloads and a per-item rule.  Those versions live on here, and
+the package must agree with them exactly: on disguised members of all four
+families (random and permute-only moves) and on b6 at theta = pi, and for
+realness on scaled copies of them too.  The realness rule the package had
+before it was made scale-free is kept beside it.  For the JSON outputs,
 agreement means byte-equal stdout.
 """
 
@@ -38,6 +40,13 @@ def _member(fam, rng):
     return mub6.s6()
 
 
+def permutation_record(rng):
+    """A random move that only permutes: the two permutation draws of
+    random_record, with unit phases."""
+    return mub6.TransformRecord(rng.permutation(6) + 1, rng.permutation(6) + 1,
+                                np.ones(6), np.ones(6))
+
+
 def _inputs():
     """208 disguised family members, every third move permute-only, then
     b6 at theta = pi as it stands and disguised."""
@@ -45,7 +54,8 @@ def _inputs():
     out = []
     for i in range(4 * N_PER_FAMILY):
         H = _member(("f6", "m6", "b6", "s6")[i % 4], rng)
-        out.append(mub6.apply(H, mub6.random_record(rng, permute_only=(i // 4) % 3 == 0)))
+        move = permutation_record if (i // 4) % 3 == 0 else mub6.random_record
+        out.append(mub6.apply(H, move(rng)))
     out.append(mub6.b6(np.pi))
     out.append(mub6.apply(mub6.b6(np.pi), mub6.random_record(rng)))
     return out
@@ -127,16 +137,33 @@ def test_lemma_form_reads_every_tail_it_finds(eq_tol):
 
 # ------------------------------------------------------ real submatrices
 
-def ref_real_submatrices(A, p, q, eq_tol):
+SCALES = (3e-12, 1e-6, 1e6, 1e150, 1e300)
+
+
+def ref_real_entry(z, eq_tol):
+    """The realness rule: no phase (modulus below 1e-12), or |Im z| below
+    eq_tol |z|, collinear with 1 mod pi."""
+    return abs(z) < 1e-12 or abs(z.imag) < eq_tol * abs(z)
+
+
+def ref_real_entry_at_hadamard_scale(z, eq_tol):
+    """The rule before realness was made scale-free: |Im z| against
+    eq_tol / sqrt(6), the modulus of a Hadamard matrix's entries."""
+    return abs(z.imag) * SQRT6 < eq_tol
+
+
+def ref_real_submatrices(A, p, q, eq_tol, real=ref_real_entry):
     out = []
     for rows in combinations(range(6), p):
         for cols in combinations(range(6), q):
-            if all(abs(A[r, c].imag) * SQRT6 < eq_tol for r in rows for c in cols):
+            if all(real(A[r, c], eq_tol) for r in rows for c in cols):
                 out.append((tuple(r + 1 for r in rows), tuple(c + 1 for c in cols)))
     return out
 
 
 def test_real_submatrices_match_loop():
+    """On Hadamard matrices the package, the loop and the loop of the old
+    Hadamard-scale rule all agree."""
     found = 0
     for D in INPUTS + [mub6.fourier_f6(), mub6.s6()]:
         A = mub6.core.as_matrix(D)
@@ -144,7 +171,9 @@ def test_real_submatrices_match_loop():
             for q in range(1, 7):
                 got = [(l.rows, l.cols) for l in mub6.find_real_submatrices(D, p, q)]
                 assert got == ref_real_submatrices(A, p, q, EQ)
+                assert got == ref_real_submatrices(A, p, q, EQ, ref_real_entry_at_hadamard_scale)
                 found += len(got)
+        assert mub6.count_real_entries(D) == sum(ref_real_entry(z, EQ) for z in A.flat)
     assert found > 0
 
 
@@ -154,7 +183,7 @@ def ref_collinear_mod_pi(entries, eq_tol):
         if abs(e) < 1e-12:
             continue
         if anchor is None:
-            anchor = e
+            anchor = e / abs(e)
             continue
         w = e * np.conj(anchor)
         if abs(w.imag) / abs(w) >= eq_tol:
@@ -185,6 +214,20 @@ def test_real_up_to_rephasing_matches_loop():
                 assert got == ref_real_up_to_rephasing(A, p, q, EQ)
                 found += len(got)
     assert found > 0
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_realness_matches_loops_at_scale(scale):
+    """Scaled copies of the inputs, from just above the phaseless cut-off to
+    near the largest doubles: the count and both 3x2 finders agree with the
+    loops, which read the same rule at every scale."""
+    for D in INPUTS:
+        A = mub6.core.as_matrix(D) * scale
+        assert mub6.count_real_entries(A) == sum(ref_real_entry(z, EQ) for z in A.flat)
+        got = [(l.rows, l.cols) for l in mub6.find_real_submatrices(A, 3, 2)]
+        assert got == ref_real_submatrices(A, 3, 2, EQ)
+        got = [(l.rows, l.cols) for l in mub6.find_real_submatrices_up_to_rephasing(A, 3, 2)]
+        assert got == ref_real_up_to_rephasing(A, 3, 2, EQ)
 
 
 # --------------------------------------------------------------------- h2
@@ -292,7 +335,7 @@ def test_unitary_and_product_match_loops_on_random_disguises():
     for i in range(32):
         fam = ("m6", "f6", "b6", "s6")[i % 4]
         H = mub6.fourier_f6() if fam == "f6" and i % 8 == 1 else _member(fam, rng)
-        D = mub6.apply(H, mub6.random_record(rng, permute_only=i % 16 == 1))
+        D = mub6.apply(H, (permutation_record if i % 16 == 1 else mub6.random_record)(rng))
         A = mub6.core.as_matrix(D)
         norms = np.ones((6, 1))
         norms[rng.integers(6)] = 2.0
